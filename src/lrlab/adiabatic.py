@@ -29,7 +29,7 @@ from .errors import (
 )
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
-from .numerics import TimeGrid, hermitian_eigensystem, operator_norm
+from .numerics import TimeGrid, operator_norm
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_CLUSTER_TOL = 1e-8

@@ -15,6 +15,7 @@ from lrlab.models import (
 )
 from lrlab.numerics import TimeGrid, operator_norm, unitary_exponential
 from lrlab.propagation import (
+    Propagator,
     bound_audit,
     commutator_norm,
     evolve,
@@ -294,6 +295,73 @@ def test_audit_checks_the_locality_hypothesis():
     assert certify(H, 0.5, grid).a_mu_max > 2.0 * cert.a_mu_max
     report = bound_audit(H, A, B, cert, integrator_tol=1e-10)
     assert not report.has_violations
+
+
+@pytest.mark.parametrize(
+    "supp_a, supp_b",
+    [
+        ([0], [4]),
+        ([6], [1]),
+        ([0, 1, 2], [5, 6]),  # |A| > |B|
+        ([3], [0, 1, 5, 6]),  # |A| < |B|, B not contiguous
+        ([0, 2, 5], [1, 6]),  # interleaved supports
+    ],
+)
+def test_audit_lhs_matches_commutator_oracle(supp_a, supp_b):
+    """The block read-out of the audit equals the generic commutator norm."""
+    d = 7
+    H = ConstantHamiltonian(random_hermitian(np.random.default_rng(5), d))
+    grid = TimeGrid.uniform(3.0, 31)
+    prop = evolve_on_grid(H, grid, 1e-10)
+    report = bound_audit(
+        H, Block(supp_a), Block(supp_b), certify(H, 0.5, grid), propagator=prop
+    )
+    A = np.diag(np.isin(np.arange(d), supp_a)).astype(complex)
+    B = np.diag(np.isin(np.arange(d), supp_b)).astype(complex)
+    oracle = [commutator_norm(A, B, U) for U in prop.unitaries]
+    np.testing.assert_allclose(report.lhs, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_audit_lhs_resolves_near_full_transfer():
+    """Levels 0 and 1 swap fully at t = pi/2; just before, the commutator is
+    |sin t cos t| ~ 1e-9, which sqrt(p (1 - p)) with p = |U_01|^2 rounds to 0."""
+    M = np.zeros((4, 4))
+    M[0, 1] = M[1, 0] = 1.0  # levels 2 and 3 are decoupled
+    H = ConstantHamiltonian(M)
+    grid = TimeGrid.uniform(np.pi / 2 - 1e-9, 5)
+    t = grid.points
+    U = np.zeros((len(t), 4, 4), dtype=complex)
+    U[:, 0, 0] = U[:, 1, 1] = np.cos(t)  # exp(-i t sigma_x) on levels 0, 1
+    U[:, 0, 1] = U[:, 1, 0] = -1j * np.sin(t)
+    U[:, 2, 2] = U[:, 3, 3] = 1.0
+    prop = Propagator(
+        grid=grid, unitaries=U, step=t[1], tolerance=1e-15, unitarity_defect=0.0
+    )
+    report = bound_audit(
+        H, Block([0]), Block([1]), certify(H, 0.5, grid), propagator=prop
+    )
+    np.testing.assert_allclose(
+        report.lhs, np.abs(np.sin(t) * np.cos(t)), rtol=1e-6, atol=0.0
+    )
+
+
+def test_audit_measures_distance_in_the_certified_basis():
+    """With labels 0 and 9 swapped, levels 0 and 8 sit next to each other in
+    the basis a_mu is certified in; the bound must use that distance."""
+    M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))
+    swap = np.arange(10)
+    swap[[0, 9]] = [9, 0]
+    H = ConstantHamiltonian(apply_permutation(M, swap))
+    grid = TimeGrid.uniform(2.0, 401)
+    cert = certify(H, 0.5, grid, permutation=swap)
+    prop = evolve_on_grid(H, grid, 1e-10)
+    flagged = [
+        (i, j)
+        for i in range(10)
+        for j in range(i + 2, 10)
+        if bound_audit(H, Block([i]), Block([j]), cert, propagator=prop).has_violations
+    ]
+    assert flagged == []
 
 
 def test_audit_identical_supports_rejected():
