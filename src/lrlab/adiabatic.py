@@ -29,7 +29,7 @@ from .errors import (
 )
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
-from .numerics import TimeGrid, operator_norm
+from .numerics import TimeGrid, operator_norms
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -165,7 +165,7 @@ def _gdot_eigframe(
 ) -> np.ndarray:
     """Excited-to-ground block R of Gdot in the instantaneous eigenframe:
     R[t, k, g] = <k|Hdot|g> / (E_g - E_k)."""
-    hdots = np.stack([H.derivative(t) for t in np.asarray(ts)])
+    hdots = H.derivative_batch(ts)
     W = np.einsum("tji,tjl,tlm->tim", vecs.conj(), hdots, vecs, optimize=True)
     denom = vals[:, None, :gdim] - vals[:, gdim:, None]  # E_g - E_k
     return W[:, gdim:, :gdim] / denom
@@ -416,7 +416,7 @@ def condition_report(
     else:
         hdiff = np.zeros(len(pts))
     block_sums = np.abs(R).sum(axis=(1, 2))
-    hdot = np.array([operator_norm(H.derivative(t)) for t in pts])
+    hdot = operator_norms(H.derivative_batch(pts))
 
     gap_min = flow.gap_min
     scale = 1.0 / (mu * gdim * gap_min)

@@ -267,14 +267,16 @@ def _single_run(config: ExperimentConfig, T: float) -> Fig1Record:
     )
     h_lo, h_hi = float(norms.min()), float(norms.max())
     notes = []
-    if not (_EXPECTED_GAP_RANGE[0] <= flow.gap_min <= _EXPECTED_GAP_RANGE[1]):
-        notes.append(
-            f"gap_min {flow.gap_min:.6g} outside {_EXPECTED_GAP_RANGE}"
-        )
-    if h_lo < _EXPECTED_NORM_RANGE[0] or h_hi > _EXPECTED_NORM_RANGE[1]:
-        notes.append(
-            f"norm range [{h_lo:.6g}, {h_hi:.6g}] outside {_EXPECTED_NORM_RANGE}"
-        )
+    if config.hamiltonian == "paper_example":
+        if not (_EXPECTED_GAP_RANGE[0] <= flow.gap_min <= _EXPECTED_GAP_RANGE[1]):
+            notes.append(
+                f"gap_min {flow.gap_min:.6g} outside {_EXPECTED_GAP_RANGE}"
+            )
+        if h_lo < _EXPECTED_NORM_RANGE[0] or h_hi > _EXPECTED_NORM_RANGE[1]:
+            notes.append(
+                f"norm range [{h_lo:.6g}, {h_hi:.6g}] outside "
+                f"{_EXPECTED_NORM_RANGE}"
+            )
     for note in notes:
         warnings.warn(f"T={T:g}: {note}", RuntimeWarning, stacklevel=2)
     return Fig1Record(

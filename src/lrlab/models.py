@@ -18,7 +18,8 @@ from .errors import ValidationError
 
 
 class TimeDependentHamiltonian:
-    """Common interface: evaluate(t), derivative(t), dimension."""
+    """Common interface: evaluate(t), derivative(t), dimension, and their
+    stacked forms evaluate_batch(ts), derivative_batch(ts)."""
 
     dimension: int
 
@@ -31,6 +32,11 @@ class TimeDependentHamiltonian:
     def evaluate_batch(self, ts: np.ndarray) -> np.ndarray:
         """Stacked evaluation, shape (len(ts), dim, dim)."""
         return np.stack([self.evaluate(t) for t in np.asarray(ts)])
+
+    def derivative_batch(self, ts: np.ndarray) -> np.ndarray:
+        """Stacked derivative, shape (len(ts), dim, dim); may be a
+        read-only view."""
+        return np.stack([self.derivative(t) for t in np.asarray(ts)])
 
 
 @dataclass(eq=False)
@@ -50,6 +56,10 @@ class ConstantHamiltonian(TimeDependentHamiltonian):
     def evaluate_batch(self, ts: np.ndarray) -> np.ndarray:
         n = np.asarray(ts).size
         return np.broadcast_to(self.matrix, (n, *self.matrix.shape)).copy()
+
+    def derivative_batch(self, ts: np.ndarray) -> np.ndarray:
+        n = np.asarray(ts).size
+        return np.zeros((n, *self.matrix.shape), dtype=self.matrix.dtype)
 
 
 @dataclass(eq=False)
@@ -92,6 +102,12 @@ class LinearInterpolationHamiltonian(TimeDependentHamiltonian):
         self._check_t(ts)
         s = (ts / self.total_time)[:, None, None]
         return (1.0 - s) * self.h_initial[None] + s * self.h_final[None]
+
+    def derivative_batch(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        self._check_t(ts)
+        slope = (self.h_final - self.h_initial) / self.total_time
+        return np.broadcast_to(slope, (ts.size, *slope.shape))
 
 
 def build_example_ramp(total_time: float) -> LinearInterpolationHamiltonian:

@@ -52,6 +52,16 @@ def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (n, d, d) stack."""
+    stack = np.asarray(stack)
+    if stack.ndim != 3:
+        raise ValidationError(f"expected a matrix stack, got ndim={stack.ndim}")
+    if not np.all(np.isfinite(stack)):
+        raise ValidationError("matrix contains NaN or Inf entries")
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
 def _hermitian_defect(M: np.ndarray) -> tuple[float, float]:
     scale = float(np.linalg.norm(M, 2))
     defect = float(np.linalg.norm(M - M.conj().T, 2))

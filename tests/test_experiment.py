@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -229,3 +230,31 @@ def test_run_fig1_records_failures_and_continues(tmp_path):
     assert all("InsufficientCrossings" in msg for msg in failures.values())
     err_payload = json.loads((tmp_path / "fig1_run_T1.json").read_text())
     assert "error" in err_payload
+
+
+def test_user_ramp_gets_no_bundled_model_warnings(tmp_path):
+    # a ladder of spacing 0.05 under a 0.5 hopping ramp: its gap and norm
+    # lie outside the bundled model's sanity ranges, which do not apply
+    d = 11
+    h_i = 0.05 * np.diag(np.arange(d)).astype(complex)
+    h_f = h_i + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
+
+    def pairs(M):
+        return np.stack([M.real, M.imag], axis=-1).tolist()
+
+    cfg = ExperimentConfig(
+        hamiltonian={"h_i": pairs(h_i), "h_f": pairs(h_f)},
+        T_values=(4.0, 8.0),
+        grid_points=301,
+        integrator_tol=1e-7,
+        output_dir=str(tmp_path),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records, failures, _ = run_fig1(cfg)
+    assert failures == {}
+    assert [r.T for r in records] == [4.0, 8.0]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert all(r.warnings == [] for r in records)
+    payload = json.loads((tmp_path / "fig1_run_T4.json").read_text())
+    assert payload["warnings"] == []

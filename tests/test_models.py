@@ -7,6 +7,7 @@ from lrlab.models import (
     ConstantHamiltonian,
     ExpLocalSpec,
     LinearInterpolationHamiltonian,
+    TimeDependentHamiltonian,
     build_example_ramp,
     random_exp_local,
 )
@@ -94,6 +95,42 @@ def test_evaluate_batch_matches_pointwise():
     batch = H.evaluate_batch(ts)
     for k, t in enumerate(ts):
         np.testing.assert_allclose(batch[k], H.evaluate(t), atol=1e-15)
+
+
+class _RampWithoutBatchDerivative(TimeDependentHamiltonian):
+    """Only the pointwise interface, so the base-class stacking runs."""
+
+    def __init__(self, H):
+        self._H = H
+        self.dimension = H.dimension
+
+    def evaluate(self, t):
+        return self._H.evaluate(t)
+
+    def derivative(self, t):
+        return self._H.derivative(t) * (1.0 + t)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        build_example_ramp(5.0),
+        ConstantHamiltonian(random_exp_local(ExpLocalSpec(6, 1.0, 1.0, seed=2))),
+        _RampWithoutBatchDerivative(build_example_ramp(5.0)),
+    ],
+    ids=["linear", "constant", "base"],
+)
+def test_derivative_batch_matches_pointwise(H):
+    ts = np.linspace(0.0, 5.0, 7)
+    batch = H.derivative_batch(ts)
+    assert batch.shape == (7, H.dimension, H.dimension)
+    assert np.array_equal(batch, np.stack([H.derivative(t) for t in ts]))
+
+
+def test_derivative_batch_enforces_time_domain():
+    H = build_example_ramp(10.0)
+    with pytest.raises(ValidationError):
+        H.derivative_batch(np.array([0.0, 10.5]))
 
 
 def test_evaluate_affine_in_time():

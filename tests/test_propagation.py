@@ -10,12 +10,17 @@ from lrlab.models import (
     ConstantHamiltonian,
     ExpLocalSpec,
     LinearInterpolationHamiltonian,
+    TimeDependentHamiltonian,
     build_example_ramp,
     random_exp_local,
 )
 from lrlab.numerics import TimeGrid, operator_norm, unitary_exponential
 from lrlab.propagation import (
     Propagator,
+    _checkpoints_fixed,
+    _compose,
+    _refinement_defect,
+    _unitary_steps,
     bound_audit,
     commutator_norm,
     evolve,
@@ -25,7 +30,12 @@ from lrlab.propagation import (
     propagator_spread,
 )
 
-from _oracles import random_hermitian, random_unitary, rk4_propagator
+from _oracles import (
+    RK4_ORACLE_STEPS,
+    random_hermitian,
+    random_unitary,
+    rk4_propagator,
+)
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +64,9 @@ def test_zero_hamiltonian_identity():
 
 
 def test_ramp_matches_rk4_oracle(ramp_prop):
-    """Independent 4th-order integration at a 10x finer step."""
+    """Independent 4th-order integration at a fixed fine step."""
     H, prop = ramp_prop
-    n_steps = int(round(100.0 / (prop.step / 10.0)))
-    U_rk4 = rk4_propagator(H, 100.0, n_steps)
+    U_rk4 = rk4_propagator(H, 100.0, RK4_ORACLE_STEPS)
     assert operator_norm(prop.unitaries[-1] - U_rk4) <= 10 * prop.tolerance
 
 
@@ -67,19 +76,68 @@ def test_unitarity_defect_small(ramp_prop):
     assert np.allclose(prop.unitaries[0], np.eye(11))
 
 
-def test_second_order_convergence():
-    """Halving the substep cuts the final-time error by about 4."""
-    from lrlab.propagation import _checkpoints_fixed
-
+def test_fourth_order_convergence():
+    """Halving the substep cuts the final-time error by about 16."""
     H = build_example_ramp(10.0)
     grid = TimeGrid.uniform(10.0, 11)
     ref = _checkpoints_fixed(H, grid, 256)[-1]
     errs = [
         operator_norm(_checkpoints_fixed(H, grid, m)[-1] - ref)
-        for m in (4, 8, 16)
+        for m in (2, 4, 8)
     ]
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+    assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.2)
+    assert errs[1] / errs[2] == pytest.approx(16.0, rel=0.2)
+
+
+def test_constant_hamiltonian_steps_are_exact_exponentials():
+    """For constant H the Gauss-point generator is H itself, so the
+    propagator equals the product of exp(-i h H) steps bit for bit."""
+    M = random_exp_local(ExpLocalSpec(9, 1.0, 1.0, seed=3))
+    grid = TimeGrid.uniform(2.0, 41)
+    prop = evolve_on_grid(ConstantHamiltonian(M), grid, tol=1e-11)
+    n_int = len(grid) - 1
+    m = int(round(float(np.diff(grid.points)[0]) / prop.step))
+    hs = np.repeat(np.diff(grid.points) / m, m)
+    steps = _unitary_steps(np.broadcast_to(M, (n_int * m, 9, 9)), hs)
+    want = [np.eye(9, dtype=complex)]
+    for W in _compose(steps.reshape(n_int, m, 9, 9)):
+        want.append(W @ want[-1])
+    assert np.array_equal(prop.unitaries, np.stack(want))
+
+
+def test_refinement_defect_is_exact_where_it_reaches_tol():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((50, 4, 4)) + 1j * rng.standard_normal((50, 4, 4))
+    diff = X * np.logspace(-14, -8, 50)[:, None, None]
+    exact = np.linalg.svd(diff, compute_uv=False)[:, 0].max()
+    zero = np.zeros_like(diff)
+    for tol in (1e-13, 1e-10, exact, exact * (1 + 1e-9), 1e-6):
+        got = _refinement_defect(diff, zero, tol)
+        assert (got < tol) == (exact < tol)
+        if exact >= tol:
+            assert got == pytest.approx(exact, rel=1e-12)
+
+
+class _OddPulse(TimeDependentHamiltonian):
+    """H(t) = 10 (t - 1)^5 A on [0, 2], odd about t = 1: the step errors of
+    the two halves cancel, so U(2) = 1 at every step size while U(1) still
+    depends on it."""
+
+    def __init__(self, A):
+        self.A = A
+        self.dimension = A.shape[0]
+
+    def evaluate(self, t):
+        return 10.0 * (t - 1.0) ** 5 * self.A
+
+
+def test_convergence_is_checked_at_every_checkpoint():
+    A = random_hermitian(np.random.default_rng(7), 3)
+    grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
+    prop = evolve_on_grid(_OddPulse(A), grid, tol=1e-10)
+    # U(1) = exp(-i A int_0^1 10 (t - 1)^5 dt) = exp(i (5/3) A)
+    exact = unitary_exponential(1j * (5.0 / 3.0) * A)
+    assert operator_norm(prop.unitaries[1] - exact) <= 10 * prop.tolerance
 
 
 def test_composition_property(ramp_prop):
