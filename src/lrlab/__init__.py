@@ -1,84 +1,4 @@
 """lrlab: locality certificates, Lieb-Robinson bound audits, and adiabatic
 evolution experiments for banded Hermitian matrix families."""
 
-from .adiabatic import (
-    AdiabaticRun,
-    ConditionReport,
-    SpectralFlow,
-    adiabatic_error,
-    condition_report,
-    evolve_adiabatic,
-    ground_projector_derivative,
-    h_ad,
-    instantaneous_locality,
-    intertwining_defect,
-    kernel_K,
-    run_adiabatic,
-    spectral_flow,
-    wave_operator_errors,
-)
-from .blocks import (
-    Block,
-    BlockDecomposition,
-    apply_permutation,
-    bandwidth,
-    block_distance,
-    diameter,
-    pairwise_decompose,
-    reorder_basis,
-)
-from .errors import (
-    GapClosureError,
-    InsufficientCrossingsError,
-    IntegrationError,
-    LevelCrossingError,
-    LrlabError,
-    NumericalError,
-    ValidationError,
-)
-from .experiment import (
-    EmpiricalSpeed,
-    ExperimentConfig,
-    Fig1Record,
-    empirical_v_lr,
-    run_fig1,
-)
-from .locality import (
-    LocalityCertificate,
-    a_mu_pointwise,
-    certify,
-    check_locality_condition,
-    default_probe_blocks,
-    exp_local_bound,
-    optimal_mu_exp_local,
-    optimize_mu_generic,
-)
-from .models import (
-    ConstantHamiltonian,
-    ExpLocalSpec,
-    LinearInterpolationHamiltonian,
-    TimeDependentHamiltonian,
-    build_example_ramp,
-    random_exp_local,
-)
-from .numerics import (
-    TimeGrid,
-    hermitian_eigensystem,
-    lambert_w,
-    operator_norm,
-    time_average,
-    unitary_exponential,
-)
-from .propagation import (
-    AuditReport,
-    Propagator,
-    bound_audit,
-    commutator_norm,
-    evolve,
-    evolve_on_grid,
-    heisenberg,
-    lr_bound_rhs,
-    propagator_spread,
-)
-
 __version__ = "0.1.0"

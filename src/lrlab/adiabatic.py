@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import pairwise_decompose
 from .errors import (
     GapClosureError,
     IllConditionedError,
@@ -49,22 +48,21 @@ class SpectralFlow:
     ground_dim: int
     cluster_tol: float
 
-    @property
-    def dimension(self) -> int:
-        return int(self.eigenvalues.shape[1])
 
-    def index_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.grid.points, t))
-        for cand in (k - 1, k, k + 1):
-            if 0 <= cand < len(self.grid) and abs(
-                self.grid.points[cand] - t
-            ) <= 1e-9 * max(1.0, abs(t)):
-                return cand
-        raise ValidationError(f"t={t} is not a grid point of this flow")
-
-
-def _cluster_dim(vals_row: np.ndarray, cluster_tol: float) -> int:
-    return int(np.sum(vals_row - vals_row[0] <= cluster_tol))
+def _cluster_gap(
+    vals: np.ndarray, ts: np.ndarray, gdim: int, cluster_tol: float
+) -> np.ndarray:
+    """Gap above the ground cluster at each time, after checking that the
+    cluster (eigenvalues within cluster_tol of the lowest) spans gdim levels
+    at every time.  That forces vals[:, gdim] > vals[:, gdim - 1]."""
+    dims = (vals - vals[:, :1] <= cluster_tol).sum(axis=1)
+    if np.any(dims != gdim):
+        k = int(np.nonzero(dims != gdim)[0][0])
+        raise LevelCrossingError(
+            f"ground cluster dimension changed from {gdim} to {dims[k]} "
+            f"at t={ts[k]}"
+        )
+    return vals[:, gdim] - vals[:, gdim - 1]
 
 
 def _fix_phases(basis: np.ndarray) -> np.ndarray:
@@ -102,22 +100,11 @@ def spectral_flow(
     its dimension must stay constant across the grid and the gap to the rest
     of the spectrum must stay positive.
     """
-    mats = H.evaluate_batch(grid.points)
-    vals, vecs = np.linalg.eigh(mats)
-    gdim = _cluster_dim(vals[0], cluster_tol)
+    vals, vecs = np.linalg.eigh(H.evaluate_batch(grid.points))
+    gdim = int(np.sum(vals[0] - vals[0, 0] <= cluster_tol))
     if gdim >= H.dimension:
         raise GapClosureError("the ground cluster spans the whole spectrum")
-    dims = np.array([_cluster_dim(v, cluster_tol) for v in vals])
-    if np.any(dims != gdim):
-        k = int(np.nonzero(dims != gdim)[0][0])
-        raise LevelCrossingError(
-            f"ground cluster dimension changed from {gdim} to {dims[k]} "
-            f"at t={grid.points[k]}"
-        )
-    gap = vals[:, gdim] - vals[:, gdim - 1]
-    if np.any(gap <= 0):
-        k = int(np.nonzero(gap <= 0)[0][0])
-        raise GapClosureError(f"gap closed at t={grid.points[k]}")
+    gap = _cluster_gap(vals, grid.points, gdim, cluster_tol)
 
     basis = _fix_phases(vecs)
     ground = basis[:, :, :gdim]
@@ -137,16 +124,10 @@ def spectral_flow(
 def _eig_checked(
     H: TimeDependentHamiltonian, ts: np.ndarray, gdim: int, cluster_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched eigensystems with cluster-consistency and gap checks."""
-    mats = H.evaluate_batch(ts)
-    vals, vecs = np.linalg.eigh(mats)
-    dims = (vals - vals[:, :1] <= cluster_tol).sum(axis=1)
-    if np.any(dims != gdim):
-        k = int(np.nonzero(dims != gdim)[0][0])
-        raise LevelCrossingError(
-            f"ground cluster dimension {dims[k]} != {gdim} at t={ts[k]}"
-        )
-    gap = vals[:, gdim] - vals[:, gdim - 1]
+    """Batched eigensystems with cluster-consistency and gap checks; the
+    gap floor guards the 1/(E_g - E_k) of the projector derivative."""
+    vals, vecs = np.linalg.eigh(H.evaluate_batch(ts))
+    gap = _cluster_gap(vals, ts, gdim, cluster_tol)
     if np.any(gap <= MIN_DERIVATIVE_GAP):
         k = int(np.nonzero(gap <= MIN_DERIVATIVE_GAP)[0][0])
         raise IllConditionedError(
@@ -338,26 +319,22 @@ def instantaneous_locality(
 ) -> float:
     """Locality load of H - H_ad in the instantaneous eigenbasis at time t.
 
-    H - H_ad is expressed in the eigenbasis of H(t) (ascending order),
-    pairwise-decomposed, and summed with weights e^(mu diam Z) over the
-    blocks that intersect the instantaneous ground labels; the sum is
-    divided by the cluster size.  Only blocks meeting the ground labels
-    can contribute because G (H - H_ad) G and Gperp (H - H_ad) Gperp vanish.
+    In the eigenbasis of H(t) (ascending order), H - H_ad = -i [Gdot, G] has
+    only the excited-ground blocks -i R and their adjoint (see
+    ``_gdot_eigframe``): G (H - H_ad) G and Gperp (H - H_ad) Gperp vanish.
+    So the pairwise blocks meeting the ground labels are the pairs {g, k}
+    with norm |R_kg| and diameter k - g.  Their sum weighted by
+    e^(mu diam Z) is divided by the cluster size.
     """
     if mu <= 0:
         raise ValidationError(f"mu must be positive, got {mu}")
-    k = flow.index_of(t)
-    V = flow.basis[k]
-    D = H.evaluate(t) - h_ad(H, flow, t)
-    D_eig = V.conj().T @ D @ V
-    decomp = pairwise_decompose(D_eig)
+    ts = np.asarray([t], dtype=float)
     gdim = flow.ground_dim
-    ground = set(range(gdim))
-    total = 0.0
-    for block, norm in decomp.term_norms():
-        if ground & set(block.labels):
-            total += norm * np.exp(mu * block.diameter)
-    return total / gdim
+    vals, vecs = _eig_checked(H, ts, gdim, flow.cluster_tol)
+    R = np.abs(_gdot_eigframe(H, ts, vals, vecs, gdim)[0])
+    levels = np.arange(H.dimension)
+    diam = levels[gdim:, None] - levels[None, :gdim]
+    return float(np.sum(R * np.exp(mu * diam)) / gdim)
 
 
 @dataclass(eq=False)

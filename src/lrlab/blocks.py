@@ -1,4 +1,4 @@
-"""Basis-label bookkeeping: blocks, distances, pairwise decomposition, reordering.
+"""Basis-label bookkeeping: blocks, distances, pairwise decomposition.
 
 A *block* is a finite set of basis labels (integers giving positions in an
 ordered representation basis).  A Hermitian matrix decomposes into terms
@@ -9,7 +9,6 @@ unordered off-diagonal pair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +45,6 @@ class Block:
     def intersects(self, other: "Block") -> bool:
         return bool(set(self.labels) & set(other.labels))
 
-    def __contains__(self, label: int) -> bool:
-        return label in self.labels
-
-    def __iter__(self):
-        return iter(self.labels)
-
-
-def diameter(block: Block) -> int:
-    """Largest minus smallest label of the block."""
-    return block.diameter
-
 
 def block_distance(a: Block, b: Block) -> int:
     """Minimum |j - i| over i in a, j in b; 0 iff the blocks share a label
@@ -67,29 +55,24 @@ def block_distance(a: Block, b: Block) -> int:
 
 @dataclass(eq=False)
 class BlockDecomposition:
-    """A matrix written as a sum of block-supported terms.
+    """A Hermitian matrix written as a sum of singleton and pair terms.
 
-    Each term matrix lives in the full dimension but is supported exactly on
-    its block's rows and columns; the terms sum back to the original matrix.
+    ``matrix`` is the validated input, kept once.  Each term is stored as
+    (block, entry): H_ii for the singleton {i}, and H_ij (i < j) for the
+    pair {i, j}, whose term H_ij |i><j| + H_ji |j><i| has operator norm
+    |H_ij|.
     """
 
-    terms: list[tuple[Block, np.ndarray]]
-    dimension: int
+    matrix: np.ndarray
+    terms: list[tuple[Block, complex]]
 
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for _, mat in self.terms:
-            out += mat
-        return out
+    @property
+    def dimension(self) -> int:
+        return int(self.matrix.shape[0])
 
     def term_norms(self) -> list[tuple[Block, float]]:
-        """Operator norm of each term, computed on the block submatrix."""
-        out = []
-        for block, mat in self.terms:
-            idx = np.asarray(block.labels)
-            sub = mat[np.ix_(idx, idx)]
-            out.append((block, float(np.linalg.norm(sub, 2))))
-        return out
+        """Operator norm |entry| of each term."""
+        return [(block, float(abs(entry))) for block, entry in self.terms]
 
 
 def _check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -114,21 +97,12 @@ def pairwise_decompose(H: np.ndarray) -> BlockDecomposition:
     Entries at or below STRUCTURAL_ZERO produce no term.
     """
     H = _check_hermitian(H)
-    n = H.shape[0]
-    terms: list[tuple[Block, np.ndarray]] = []
-    for i in range(n):
-        if abs(H[i, i]) > STRUCTURAL_ZERO:
-            mat = np.zeros((n, n), dtype=complex)
-            mat[i, i] = H[i, i]
-            terms.append((Block([i]), mat))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(H[i, j]) > STRUCTURAL_ZERO or abs(H[j, i]) > STRUCTURAL_ZERO:
-                mat = np.zeros((n, n), dtype=complex)
-                mat[i, j] = H[i, j]
-                mat[j, i] = H[j, i]
-                terms.append((Block([i, j]), mat))
-    return BlockDecomposition(terms=terms, dimension=n)
+    nonzero = np.abs(H) > STRUCTURAL_ZERO
+    nonzero |= nonzero.T
+    terms = [(Block([i]), H[i, i]) for i in np.flatnonzero(np.diagonal(nonzero))]
+    rows, cols = np.nonzero(np.triu(nonzero, 1))
+    terms += [(Block([i, j]), H[i, j]) for i, j in zip(rows, cols)]
+    return BlockDecomposition(matrix=H, terms=terms)
 
 
 def bandwidth(H: np.ndarray) -> int:
@@ -138,53 +112,3 @@ def bandwidth(H: np.ndarray) -> int:
     if rows.size == 0:
         return 0
     return int(np.max(np.abs(rows - cols)))
-
-
-def apply_permutation(H: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Relabel basis indices: result[perm[i], perm[j]] = H[i, j]."""
-    perm = np.asarray(perm, dtype=int)
-    inv = np.argsort(perm)  # inv[new] = old
-    return np.asarray(H)[np.ix_(inv, inv)]
-
-
-def reorder_basis(H: np.ndarray, strategy: str = "bandwidth_greedy") -> np.ndarray:
-    """Choose a basis relabeling; returns perm with perm[old] = new.
-
-    "identity" keeps the input ordering.  "bandwidth_greedy" runs a
-    Cuthill-McKee-style breadth-first relabeling on the weighted adjacency
-    graph (edge weight |H_ij|), visiting strong couplings first so that
-    large |H_ij| pairs end up with nearby labels.  Ties break by ascending
-    original label, which makes the result deterministic.
-    """
-    H = _check_hermitian(H)
-    n = H.shape[0]
-    if strategy == "identity":
-        return np.arange(n)
-    if strategy != "bandwidth_greedy":
-        raise ValidationError(f"unknown reorder strategy: {strategy!r}")
-
-    W = np.abs(H).astype(float)
-    np.fill_diagonal(W, 0.0)
-    W[W <= STRUCTURAL_ZERO] = 0.0
-    wdeg = W.sum(axis=1)
-
-    visited = np.zeros(n, dtype=bool)
-    order: list[int] = []  # order[new] = old
-    while len(order) < n:
-        start = min(
-            (i for i in range(n) if not visited[i]), key=lambda i: (wdeg[i], i)
-        )
-        visited[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            nbrs = [v for v in range(n) if not visited[v] and W[u, v] > 0.0]
-            nbrs.sort(key=lambda v: (-W[u, v], v))
-            for v in nbrs:
-                visited[v] = True
-                queue.append(v)
-
-    perm = np.empty(n, dtype=int)
-    perm[np.asarray(order)] = np.arange(n)
-    return perm

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .adiabatic import condition_report, run_adiabatic, spectral_flow
+from .adiabatic import condition_report, run_adiabatic
 from .blocks import Block, bandwidth, pairwise_decompose
 from .errors import NumericalError, ValidationError
 from .experiment import ExperimentConfig, run_fig1
@@ -47,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--grid", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--fixed-basis", action="store_true")
 
     for name, desc in (
@@ -75,22 +75,18 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig.from_file(args.config)
     else:
         config = ExperimentConfig()
-    if args.out is not None:
-        config.output_dir = args.out
-    if args.mu is not None:
-        config.mu = args.mu
-    if args.threshold is not None:
-        config.threshold = args.threshold
-    if args.grid is not None:
-        config.grid_points = args.grid
-    if args.tol is not None:
-        config.integrator_tol = args.tol
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.fixed_basis:
-        config.fixed_basis = True
-    config.__post_init__()  # re-validate after overrides
-    return config
+    overrides = {
+        "output_dir": args.out,
+        "mu": args.mu,
+        "threshold": args.threshold,
+        "grid_points": args.grid,
+        "integrator_tol": args.tol,
+        "fixed_basis": True if args.fixed_basis else None,
+    }
+    # replace() re-runs __post_init__, which validates the overridden values
+    return dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _parse_block(text: str) -> Block:

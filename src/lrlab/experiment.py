@@ -62,7 +62,6 @@ class ExperimentConfig:
     grid_points: int = 2001
     integrator_tol: float = 1e-9
     output_dir: str = "out"
-    seed: int | None = None
     fixed_basis: bool = False
 
     def __post_init__(self):

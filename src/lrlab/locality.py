@@ -19,21 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    STRUCTURAL_ZERO,
-    Block,
-    BlockDecomposition,
-    pairwise_decompose,
-)
+from .blocks import STRUCTURAL_ZERO, BlockDecomposition
 from .errors import NumericalError, ValidationError
 from .models import TimeDependentHamiltonian
 from .numerics import TimeGrid, lambert_w, time_average
 
-# relative slack when comparing block sums against |P| * a, or a locality load
-# against a certificate's a_mu; guards the exact equality cases (singleton
-# probe at the arg-max level, a certificate audited against its own H) against
-# FP noise
-_PROBE_RTOL = 1e-12
+# relative slack when comparing a locality load against a certificate's a_mu;
+# guards the exact equality case (a certificate audited against its own H)
+# against FP noise
+_LOAD_RTOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -47,7 +41,7 @@ class LocalityCertificate:
     a_mu_timeavg: float
     v_lr: float
     v_lr_max: float
-    basis_permutation: np.ndarray | None = None
+    basis_permutation: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -62,56 +56,6 @@ class LocalityCertificate:
         }
 
 
-def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
-    """Tightest locality constant of a decomposition at rate mu.
-
-    Returns max over levels i of sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z).
-    """
-    if mu <= 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
-    loads = np.zeros(decomp.dimension)
-    for block, norm in decomp.term_norms():
-        weight = block.size * norm * np.exp(mu * block.diameter)
-        for i in block.labels:
-            loads[i] += weight
-    return float(loads.max()) if loads.size else 0.0
-
-
-def check_locality_condition(
-    decomp: BlockDecomposition, mu: float, a: float, probes: list[Block]
-) -> list[bool]:
-    """For each probe block P, test
-    sum_{Z intersecting P} |Z| ||H_Z|| e^(mu diam Z) <= |P| a."""
-    if mu <= 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
-    weighted = [
-        (block, block.size * norm * np.exp(mu * block.diameter))
-        for block, norm in decomp.term_norms()
-    ]
-    results = []
-    for probe in probes:
-        total = sum(w for block, w in weighted if block.intersects(probe))
-        bound = probe.size * a
-        results.append(total <= bound + _PROBE_RTOL * abs(bound))
-    return results
-
-
-def default_probe_blocks(
-    dimension: int, max_size: int = 5, n_random: int = 100, seed: int = 0
-) -> list[Block]:
-    """All contiguous intervals up to max_size plus random label subsets."""
-    probes = []
-    for size in range(1, min(max_size, dimension) + 1):
-        for start in range(dimension - size + 1):
-            probes.append(Block(range(start, start + size)))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        size = int(rng.integers(1, min(max_size, dimension) + 1))
-        labels = rng.choice(dimension, size=size, replace=False)
-        probes.append(Block(labels))
-    return probes
-
-
 def _abs_offdiag_and_diag(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     W = np.abs(np.asarray(H))
     W[W <= STRUCTURAL_ZERO] = 0.0
@@ -121,26 +65,48 @@ def _abs_offdiag_and_diag(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, W
 
 
-def _a_mu_samples_pairwise(
+def _label_distances(labels: np.ndarray) -> np.ndarray:
+    labels = np.asarray(labels)
+    return np.abs(labels[:, None] - labels[None, :])
+
+
+def _loads(
+    diag: np.ndarray, off: np.ndarray, dist: np.ndarray, mu: float
+) -> np.ndarray:
+    """Per-level locality loads of a (times, d, d) stack of |H|.
+
+    Pairwise terms contribute 2 |H_ij| e^(mu dist_ij) to both levels of the
+    pair and singleton terms |H_ii| to their level, so level i carries
+    sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z).  dist_ij is the label
+    distance of levels i and j in the chosen basis ordering.
+    """
+    return diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
+
+
+def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
+    """Tightest locality constant of a decomposition at rate mu.
+
+    Returns max over levels i of sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z).
+    """
+    if mu <= 0:
+        raise ValidationError(f"mu must be positive, got {mu}")
+    diag, off = _abs_offdiag_and_diag(decomp.matrix[None])
+    loads = _loads(diag, off, _label_distances(np.arange(decomp.dimension)), mu)
+    return float(loads.max(initial=0.0))
+
+
+def _a_mu_samples(
     H: TimeDependentHamiltonian,
     mu: float,
     grid: TimeGrid,
     permutation: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized a_mu(t) over the grid for pairwise-decomposed matrices.
-
-    Pairwise terms contribute 2 |H_ij| e^(mu |i-j|) to both levels of the
-    pair and singleton terms |H_ii| to their level -- algebraically the same
-    sums as a_mu_pointwise(pairwise_decompose(...), mu), batched over time.
-    The basis ordering enters only through the diameters: level i sits at
-    label permutation[i], so the pair {i, j} spans |permutation[i] -
-    permutation[j]|, and the max over levels needs no relabeled matrices.
-    """
+    """a_mu(t) over the grid, in the basis where level i sits at label
+    permutation[i]: only the diameters |permutation[i] - permutation[j]|
+    depend on the ordering, and the max over levels needs no relabeled
+    matrices."""
     diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
-    labels = np.asarray(permutation)
-    enhance = np.exp(mu * np.abs(labels[:, None] - labels[None, :]))
-    loads = diag + 2.0 * np.einsum("tij,ij->ti", off, enhance)
-    return loads.max(axis=1)
+    return _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
 
 
 def certify(
@@ -155,7 +121,7 @@ def certify(
     if permutation is None:
         permutation = np.arange(H.dimension)
     permutation = np.asarray(permutation, dtype=int)
-    samples = _a_mu_samples_pairwise(H, mu, grid, permutation)
+    samples = _a_mu_samples(H, mu, grid, permutation)
     a_max = float(samples.max())
     a_avg = time_average(samples, grid)
     return LocalityCertificate(
@@ -215,16 +181,13 @@ def optimize_mu_generic(
         raise ValidationError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
     permutation = np.arange(H.dimension)
-    mats = H.evaluate_batch(grid.points)
-    diag, off = _abs_offdiag_and_diag(mats)
-    n = H.dimension
-    idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
+    dist = _label_distances(permutation)
 
     def v_of_mu(mu: float) -> float:
         # overflow to inf is deliberate; the scan check below rejects it
         with np.errstate(over="ignore"):
-            loads = diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
+            loads = _loads(diag, off, dist, mu)
             return time_average(loads.max(axis=1), grid) / mu
 
     scan_mus = np.linspace(lo, hi, scan_points)

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: norms, eigensystems, unitary exponentials,
-the product logarithm, and time-grid quadrature."""
+"""Shared numerical kernels: time grids, norms, the product logarithm, and
+time-grid quadrature."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-
-HERMITICITY_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +39,15 @@ class TimeGrid:
     def __len__(self) -> int:
         return int(self.points.size)
 
+    def index_of(self, t: float) -> int:
+        """Index of the grid point within a relative 1e-9 of t."""
+        k = int(np.searchsorted(self.points, t))
+        tol = 1e-9 * max(1.0, abs(t))
+        for cand in (k - 1, k, k + 1):
+            if 0 <= cand < len(self) and abs(self.points[cand] - t) <= tol:
+                return cand
+        raise ValidationError(f"t={t} is not a point of this time grid")
+
 
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value of M."""
@@ -60,42 +67,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(stack)):
         raise ValidationError("matrix contains NaN or Inf entries")
     return np.linalg.norm(stack, 2, axis=(1, 2))
-
-
-def _hermitian_defect(M: np.ndarray) -> tuple[float, float]:
-    scale = float(np.linalg.norm(M, 2))
-    defect = float(np.linalg.norm(M - M.conj().T, 2))
-    return defect, scale
-
-
-def hermitian_eigensystem(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a
-    Hermitian matrix."""
-    M = np.asarray(M, dtype=complex)
-    defect, scale = _hermitian_defect(M)
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValidationError(
-            f"matrix is not Hermitian: ||M - M^dag|| = {defect:.3e}"
-        )
-    vals, vecs = np.linalg.eigh(M)
-    return vals, vecs
-
-
-def unitary_exponential(A: np.ndarray) -> np.ndarray:
-    """exp(A) for anti-Hermitian A, via the eigendecomposition of iA.
-
-    The result is unitary by construction (up to roundoff) because the
-    eigenvector matrix is unitary and the eigenvalue phases have modulus 1.
-    """
-    A = np.asarray(A, dtype=complex)
-    defect, scale = _hermitian_defect(1j * A)
-    if defect > HERMITICITY_RTOL * scale:
-        raise ValidationError(
-            f"matrix is not anti-Hermitian: ||A + A^dag|| = {defect:.3e}"
-        )
-    vals, vecs = np.linalg.eigh(1j * A)  # A = -i (iA), iA Hermitian
-    phases = np.exp(-1j * vals)
-    return (vecs * phases) @ vecs.conj().T
 
 
 def lambert_w(x: float) -> float:

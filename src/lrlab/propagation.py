@@ -37,7 +37,7 @@ import numpy as np
 
 from .blocks import Block, block_distance
 from .errors import IntegrationError, ValidationError
-from .locality import _PROBE_RTOL, LocalityCertificate, _a_mu_samples_pairwise
+from .locality import _LOAD_RTOL, LocalityCertificate, _a_mu_samples
 from .numerics import TimeGrid, operator_norm, operator_norms
 
 # substeps processed per vectorized batch (memory/speed tradeoff)
@@ -65,17 +65,8 @@ class Propagator:
     def dimension(self) -> int:
         return int(self.unitaries.shape[-1])
 
-    def index_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.grid.points, t))
-        for cand in (k - 1, k, k + 1):
-            if 0 <= cand < len(self.grid) and abs(
-                self.grid.points[cand] - t
-            ) <= 1e-9 * max(1.0, abs(t)):
-                return cand
-        raise ValidationError(f"t={t} is not a checkpoint of this propagator")
-
     def at(self, t: float) -> np.ndarray:
-        return self.unitaries[self.index_of(t)]
+        return self.unitaries[self.grid.index_of(t)]
 
 
 def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
@@ -256,15 +247,18 @@ def lr_bound_rhs(
     norm_a: float,
     norm_b: float,
     mu: float,
-    a_timeavg: float,
-    t: float,
-) -> float:
-    """Bound 2 min(|A|,|B|) ||A|| ||B|| e^(-mu d(A,B)) (e^(<a>|t|) - 1)."""
+    growth: float | np.ndarray,
+) -> float | np.ndarray:
+    """Bound 2 min(|A|,|B|) ||A|| ||B|| e^(-mu d(A,B)) (e^growth - 1).
+
+    growth is the exponent integral of a_mu over [0, t] (<a_mu>_t t), a
+    scalar or an array of them.
+    """
     if supp_a.intersects(supp_b):
         raise ValidationError("supports must be disjoint")
     d = block_distance(supp_a, supp_b)
     prefactor = 2.0 * min(supp_a.size, supp_b.size) * norm_a * norm_b
-    return prefactor * np.exp(-mu * d) * np.expm1(a_timeavg * abs(t))
+    return prefactor * np.exp(-mu * d) * np.expm1(growth)
 
 
 def propagator_spread(prop: Propagator, source: int) -> np.ndarray:
@@ -375,19 +369,16 @@ def bound_audit(
     gram = X @ X.conj().transpose(0, 2, 1)
     lhs = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
-    permutation = certificate.basis_permutation
-    if permutation is None:
-        permutation = np.arange(d)
-    load = _a_mu_samples_pairwise(H, certificate.mu, grid, permutation)
-    understated = np.nonzero(
-        certificate.a_mu_samples < load * (1.0 - _PROBE_RTOL)
-    )[0]
+    mu, permutation = certificate.mu, certificate.basis_permutation
+    load = _a_mu_samples(H, mu, grid, permutation)
+    understated = np.nonzero(certificate.a_mu_samples < load * (1.0 - _LOAD_RTOL))[0]
 
-    # level i sits at label permutation[i], the basis a_mu is certified in
-    dist = block_distance(Block(permutation[a]), Block(permutation[b]))
-    prefactor = 2.0 * min(supp_a.size, supp_b.size)  # projector norms are 1
+    # level i sits at label permutation[i], the basis a_mu is certified in;
+    # the projectors on the supports have norm 1
     growth = _running_integral(certificate.a_mu_samples, grid.points)
-    rhs = prefactor * np.exp(-certificate.mu * dist) * np.expm1(growth)
+    rhs = lr_bound_rhs(
+        Block(permutation[a]), Block(permutation[b]), 1.0, 1.0, mu, growth
+    )
 
     return AuditReport(
         times=grid.points.copy(),

@@ -99,6 +99,28 @@ def brute_probe_sum(M, mu, probe_labels, zero_tol=1e-14):
     return total
 
 
+def probe_blocks(dimension, max_size=5, n_random=100, seed=0):
+    """Probe label sets: every contiguous interval up to max_size labels,
+    then n_random seeded random subsets of up to max_size labels."""
+    size_cap = min(max_size, dimension)
+    probes = [
+        list(range(start, start + size))
+        for size in range(1, size_cap + 1)
+        for start in range(dimension - size + 1)
+    ]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_random):
+        size = int(rng.integers(1, size_cap + 1))
+        probes.append(sorted(rng.choice(dimension, size=size, replace=False)))
+    return probes
+
+
+def apply_permutation(H, perm):
+    """Relabel basis indices: result[perm[i], perm[j]] = H[i, j]."""
+    inv = np.argsort(np.asarray(perm, dtype=int))  # inv[new] = old
+    return np.asarray(H)[np.ix_(inv, inv)]
+
+
 def sturm_count(diag, off, x):
     """Number of eigenvalues below x of the real symmetric tridiagonal matrix
     with the given diagonal and off-diagonal, in exact rational arithmetic.

@@ -14,7 +14,7 @@ from lrlab.adiabatic import (
     spectral_flow,
     wave_operator_errors,
 )
-from lrlab.errors import LevelCrossingError, ValidationError
+from lrlab.errors import IllConditionedError, LevelCrossingError, ValidationError
 from lrlab.locality import certify
 from lrlab.models import (
     ConstantHamiltonian,
@@ -82,6 +82,21 @@ def test_flow_level_crossing_detected():
         spectral_flow(H, TimeGrid.uniform(1.0, 21))
 
 
+def test_h_ad_path_checks_cluster_and_derivative_gap():
+    """spectral_flow and the H_ad path share the cluster check; only the
+    H_ad path refuses gaps at or below the 1e-8 derivative floor."""
+    H = LinearInterpolationHamiltonian(
+        np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), 1.0
+    )
+    t_near = 0.5 - 2.5e-9  # gap 5e-9
+    flow = spectral_flow(H, TimeGrid([0.0, t_near]), cluster_tol=1e-12)
+    assert flow.gap[-1] == pytest.approx(5e-9, rel=1e-6)
+    with pytest.raises(IllConditionedError):
+        h_ad(H, flow, t_near)
+    with pytest.raises(LevelCrossingError):
+        h_ad(H, flow, 0.5)  # degenerate: the cluster spans both levels
+
+
 # -- projector derivative ------------------------------------------------------
 
 
@@ -121,7 +136,7 @@ def test_gdot_idempotency_derivative(ramp_run):
     for t in (0.0, 7.3, 21.1):
         gdot = ground_projector_derivative(H, flow, t)
         assert operator_norm(gdot - gdot.conj().T) <= 1e-10
-        k = flow.index_of(flow.grid.points[np.argmin(np.abs(flow.grid.points - t))])
+        k = flow.grid.index_of(flow.grid.points[np.argmin(np.abs(flow.grid.points - t))])
         vals, vecs = np.linalg.eigh(H.evaluate(t))
         G = vecs[:, :1] @ vecs[:, :1].conj().T
         assert operator_norm(gdot @ G + G @ gdot - gdot) <= 1e-8
@@ -357,7 +372,7 @@ def test_instantaneous_locality_matches_block_path(ramp_run):
     mu = 0.5
     for t in flow.grid.points[:: len(flow.grid) // 5]:
         got = instantaneous_locality(H, flow, mu, t)
-        k = flow.index_of(t)
+        k = flow.grid.index_of(t)
         V = flow.basis[k]
         D = H.evaluate(t) - h_ad(H, flow, t)
         D_eig = V.conj().T @ D @ V
@@ -367,6 +382,18 @@ def test_instantaneous_locality_matches_block_path(ramp_run):
             if abs(D_eig[0, j]) > 1e-14
         )
         assert got == pytest.approx(total, rel=1e-10, abs=1e-14)
+
+
+def test_instantaneous_locality_off_the_flow_grid(ramp_run):
+    """The load needs H(t) only, not the flow's stored frames, so t need not
+    be a grid point; the oracle builds the eigenframe of H(t) by hand."""
+    H, run = ramp_run
+    flow = run.flow
+    t, mu = 7.31, 0.5  # between grid points 7.30 and 7.35
+    _, V = np.linalg.eigh(H.evaluate(t))
+    D_eig = V.conj().T @ (H.evaluate(t) - h_ad(H, flow, t)) @ V
+    total = sum(abs(D_eig[0, j]) * np.exp(mu * j) for j in range(1, 11))
+    assert instantaneous_locality(H, flow, mu, t) == pytest.approx(total, rel=1e-10)
 
 
 def test_instantaneous_locality_scales_as_one_over_T():

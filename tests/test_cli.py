@@ -191,3 +191,14 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"T_values": []}))
     assert main(["fig1", "--config", str(cfg)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_flag_overrides_are_validated(small_cfg_file, tmp_path, capsys):
+    assert main(["decompose", "--config", str(small_cfg_file), "--grid", "1"]) == 1
+    assert "grid_points" in capsys.readouterr().err
+    # seeds are not part of the config: nothing in lrlab draws random numbers
+    assert main(["decompose", "--config", str(small_cfg_file), "--seed", "3"]) == 1
+    cfg = tmp_path / "seeded.json"
+    cfg.write_text(json.dumps({"seed": 0}))
+    assert main(["decompose", "--config", str(cfg)]) == 1
+    assert "unknown config fields" in capsys.readouterr().err

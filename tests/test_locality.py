@@ -1,13 +1,15 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lrlab.blocks import Block, pairwise_decompose
+from lrlab.blocks import pairwise_decompose
 from lrlab.errors import NumericalError, ValidationError
 from lrlab.locality import (
+    LocalityCertificate,
     a_mu_pointwise,
     certify,
-    check_locality_condition,
-    default_probe_blocks,
     exp_local_bound,
     optimal_mu_exp_local,
     optimize_mu_generic,
@@ -20,7 +22,14 @@ from lrlab.models import (
 )
 from lrlab.numerics import TimeGrid
 
-from _oracles import bisect_lambert, brute_a_mu, brute_probe_sum
+from _oracles import (
+    apply_permutation,
+    bisect_lambert,
+    brute_a_mu,
+    brute_probe_sum,
+    probe_blocks,
+    random_hermitian,
+)
 
 E_HALF = np.exp(0.5)
 
@@ -70,36 +79,52 @@ def test_a_mu_requires_positive_mu():
         a_mu_pointwise(pairwise_decompose(np.eye(2)), 0.0)
 
 
+def test_a_mu_of_dense_matrix_stays_small_in_memory():
+    """The decomposition keeps one d x d matrix and an entry per term, so a
+    dense d=200 matrix (20 100 terms) stays far below the 12.7 GB that one
+    dense d x d matrix per term would take."""
+    M = random_hermitian(np.random.default_rng(1), 200)
+    tracemalloc.start()
+    try:
+        a = a_mu_pointwise(pairwise_decompose(M), 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert a == pytest.approx(brute_a_mu(M, 0.1), rel=1e-12)
+
+
 # -- probe condition ------------------------------------------------------
 
 
 def test_singleton_probes_always_pass():
     M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=4))
-    decomp = pairwise_decompose(M)
-    a = a_mu_pointwise(decomp, 0.5)
-    probes = [Block([i]) for i in range(10)]
-    assert all(check_locality_condition(decomp, 0.5, a, probes))
+    a = a_mu_pointwise(pairwise_decompose(M), 0.5)
+    for i in range(10):
+        assert brute_probe_sum(M, 0.5, [i]) <= a * (1 + 1e-12)
 
 
 def test_contiguous_probes_pass_and_match_enumeration():
     M = random_exp_local(ExpLocalSpec(8, 1.0, 1.7, seed=5))
-    decomp = pairwise_decompose(M)
     mu = 0.6
-    a = a_mu_pointwise(decomp, mu)
+    a = a_mu_pointwise(pairwise_decompose(M), mu)
     probes = [
-        Block(range(start, start + size))
+        range(start, start + size)
         for size in range(1, 5)
         for start in range(8 - size + 1)
     ]
-    assert all(check_locality_condition(decomp, mu, a, probes))
     for probe in probes:
-        assert brute_probe_sum(M, mu, probe.labels) <= probe.size * a * (1 + 1e-12)
+        assert brute_probe_sum(M, mu, probe) <= len(probe) * a * (1 + 1e-12)
 
 
 def test_zero_bound_fails_on_nonzero_matrix():
-    decomp = pairwise_decompose(np.diag([1.0, 2.0]))
-    results = check_locality_condition(decomp, 0.5, 0.0, [Block([0]), Block([1])])
-    assert not all(results)
+    """Any a below the tightest constant fails a probe: a = 0 fails both
+    singletons, and a just below a_mu fails the arg-max level."""
+    M = np.diag([1.0, 2.0])
+    a = a_mu_pointwise(pairwise_decompose(M), 0.5)
+    assert a == 2.0
+    assert all(brute_probe_sum(M, 0.5, [i]) > 0.0 for i in (0, 1))
+    assert brute_probe_sum(M, 0.5, [1]) > a * (1 - 1e-12)
 
 
 def test_probe_equivalence_exhaustive():
@@ -107,11 +132,10 @@ def test_probe_equivalence_exhaustive():
     the summed condition (subadditivity of the block sums)."""
     for seed, n in ((0, 8), (1, 12), (2, 16)):
         M = random_exp_local(ExpLocalSpec(n, 1.0, 1.3, seed=seed))
-        decomp = pairwise_decompose(M)
         mu = 0.65
-        a = a_mu_pointwise(decomp, mu)
-        probes = default_probe_blocks(n, max_size=5, n_random=100, seed=seed)
-        assert all(check_locality_condition(decomp, mu, a, probes))
+        a = a_mu_pointwise(pairwise_decompose(M), mu)
+        for probe in probe_blocks(n, max_size=5, n_random=100, seed=seed):
+            assert brute_probe_sum(M, mu, probe) <= len(probe) * a * (1 + 1e-12)
 
 
 # -- certify --------------------------------------------------------------
@@ -176,12 +200,21 @@ def test_certify_samples_match_pointwise_op():
         assert cert.a_mu_samples[k] == pytest.approx(direct, rel=1e-12)
 
 
+def test_pointwise_and_certified_loads_share_one_kernel():
+    """For constant H every certified sample is the pointwise constant,
+    bit for bit."""
+    grid = TimeGrid.uniform(1.0, 7)
+    for seed in range(5):
+        M = random_exp_local(ExpLocalSpec(6 + seed, 1.0, 1.2, seed=seed))
+        cert = certify(ConstantHamiltonian(M), 0.4, grid)
+        a = a_mu_pointwise(pairwise_decompose(M), 0.4)
+        assert np.all(cert.a_mu_samples == a)
+
+
 def test_certify_with_permutation_matches_manual_reorder():
     M = random_exp_local(ExpLocalSpec(6, 1.0, 1.0, seed=3))
     perm = np.array([2, 0, 1, 5, 4, 3])
     grid = TimeGrid.uniform(1.0, 5)
-    from lrlab.blocks import apply_permutation
-
     direct = certify(ConstantHamiltonian(apply_permutation(M, perm)), 0.5, grid)
     via_arg = certify(ConstantHamiltonian(M), 0.5, grid, permutation=perm)
     np.testing.assert_allclose(via_arg.a_mu_samples, direct.a_mu_samples, atol=1e-13)
@@ -193,6 +226,25 @@ def test_certificate_json_round_trip_keys():
     for key in ("mu", "a_mu_max", "a_mu_timeavg", "v_lr", "grid", "a_mu"):
         assert key in payload
     assert len(payload["grid"]) == len(payload["a_mu"]) == 11
+
+
+def test_certificate_needs_a_permutation_and_serializes():
+    grid = TimeGrid.uniform(5.0, 11)
+    cert = certify(build_example_ramp(5.0), 0.5, grid)
+    with pytest.raises(TypeError):
+        LocalityCertificate(
+            mu=cert.mu,
+            grid=grid,
+            a_mu_samples=cert.a_mu_samples,
+            a_mu_max=cert.a_mu_max,
+            a_mu_timeavg=cert.a_mu_timeavg,
+            v_lr=cert.v_lr,
+            v_lr_max=cert.v_lr_max,
+        )
+    payload = json.loads(json.dumps(cert.to_json_dict()))
+    assert payload == cert.to_json_dict()
+    assert payload["basis_permutation"] == list(range(11))
+    assert payload["a_mu"] == cert.a_mu_samples.tolist()
 
 
 # -- closed forms ----------------------------------------------------------

@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrlab.adiabatic import spectral_flow
 from lrlab.errors import ValidationError
-from lrlab.numerics import (
-    TimeGrid,
-    hermitian_eigensystem,
-    lambert_w,
-    operator_norm,
-    time_average,
-    unitary_exponential,
-)
+from lrlab.models import ConstantHamiltonian
+from lrlab.numerics import TimeGrid, lambert_w, operator_norm, time_average
+from lrlab.propagation import _unitary_steps
 
 from _oracles import (
     bisect_lambert,
@@ -98,22 +94,28 @@ def test_operator_norm_unitary_invariance():
         )
 
 
-# -- hermitian_eigensystem ----------------------------------------------
+# -- eigensystems: the batched eigh behind spectral_flow ------------------
+
+
+def flow_eigensystem(M):
+    """Eigenvalues and eigenvector columns at t=0, as spectral_flow has them."""
+    flow = spectral_flow(ConstantHamiltonian(M), TimeGrid.uniform(1.0, 2))
+    return flow.eigenvalues[0], flow.basis[0]
 
 
 def test_eigensystem_sorted_diagonal():
-    vals, vecs = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
+    vals, vecs = flow_eigensystem(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(vals, [1.0, 2.0, 3.0])
 
 
 def test_eigensystem_ladder():
     H_i = np.diag(0.1 * np.arange(11))
-    vals, _ = hermitian_eigensystem(H_i)
+    vals, _ = flow_eigensystem(H_i)
     np.testing.assert_allclose(vals, 0.1 * np.arange(11), atol=1e-14)
 
 
 def test_eigensystem_pauli_x():
-    vals, _ = hermitian_eigensystem(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    vals, _ = flow_eigensystem(np.array([[0.0, 1.0], [1.0, 0.0]]))
     np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-14)
 
 
@@ -122,7 +124,7 @@ def test_eigensystem_residuals_and_reconstruction():
     for _ in range(20):
         n = int(rng.integers(2, 16))
         M = random_hermitian(rng, n)
-        vals, vecs = hermitian_eigensystem(M)
+        vals, vecs = flow_eigensystem(M)
         scale = operator_norm(M)
         assert np.all(np.diff(vals) >= -1e-14)
         res = M @ vecs - vecs * vals[None, :]
@@ -134,19 +136,25 @@ def test_eigensystem_residuals_and_reconstruction():
 
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValidationError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        flow_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# -- unitary_exponential -------------------------------------------------
+# -- unitary exponential: _unitary_steps, the integrator's kernel --------------
+
+
+def step_exponential(A):
+    """exp(A) for anti-Hermitian A, as one _unitary_steps step: iA is
+    Hermitian and A = -i (iA)."""
+    return _unitary_steps((1j * np.asarray(A, dtype=complex))[None], np.ones(1))[0]
 
 
 def test_unitary_exp_zero():
-    np.testing.assert_allclose(unitary_exponential(np.zeros((4, 4))), np.eye(4))
+    np.testing.assert_allclose(step_exponential(np.zeros((4, 4))), np.eye(4))
 
 
 def test_unitary_exp_pauli_rotation():
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = unitary_exponential(-1j * np.pi / 2 * X)
+    got = step_exponential(-1j * np.pi / 2 * X)
     want = np.array([[0.0, -1j], [-1j, 0.0]])
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -156,7 +164,7 @@ def test_unitary_exp_matches_taylor_oracle():
     for _ in range(100):
         n = int(rng.integers(2, 7))
         A = random_anti_hermitian(rng, n)
-        got = unitary_exponential(A)
+        got = step_exponential(A)
         want = taylor_unitary_exp(A)
         assert operator_norm(got - want) <= 1e-10
 
@@ -166,7 +174,7 @@ def test_unitary_exp_inverse_property():
     for _ in range(100):
         n = int(rng.integers(2, 33))
         A = random_anti_hermitian(rng, n)
-        U = unitary_exponential(A) @ unitary_exponential(-A)
+        U = step_exponential(A) @ step_exponential(-A)
         assert operator_norm(U - np.eye(n)) <= 1e-11
 
 
@@ -174,13 +182,8 @@ def test_unitary_exp_result_unitary():
     rng = np.random.default_rng(4)
     for _ in range(25):
         n = int(rng.integers(2, 16))
-        U = unitary_exponential(random_anti_hermitian(rng, n, scale=3.0))
+        U = step_exponential(random_anti_hermitian(rng, n, scale=3.0))
         assert operator_norm(U.conj().T @ U - np.eye(n)) <= 1e-12
-
-
-def test_unitary_exp_rejects_hermitian_input():
-    with pytest.raises(ValidationError):
-        unitary_exponential(np.eye(3))
 
 
 # -- lambert_w -----------------------------------------------------------

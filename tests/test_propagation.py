@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from lrlab.blocks import Block, apply_permutation
+from lrlab.blocks import Block
 from lrlab.errors import IntegrationError, ValidationError
 from lrlab.locality import LocalityCertificate, certify
 from lrlab.models import (
@@ -14,7 +14,7 @@ from lrlab.models import (
     build_example_ramp,
     random_exp_local,
 )
-from lrlab.numerics import TimeGrid, operator_norm, unitary_exponential
+from lrlab.numerics import TimeGrid, operator_norm
 from lrlab.propagation import (
     Propagator,
     _checkpoints_fixed,
@@ -32,9 +32,11 @@ from lrlab.propagation import (
 
 from _oracles import (
     RK4_ORACLE_STEPS,
+    apply_permutation,
     random_hermitian,
     random_unitary,
     rk4_propagator,
+    taylor_unitary_exp,
 )
 
 
@@ -52,7 +54,7 @@ def test_constant_hamiltonian_matches_direct_exponential():
     prop = evolve(H, 2.0, tol=1e-9, grid_points=21)
     for k in (5, 13, 20):
         t = prop.grid.points[k]
-        direct = unitary_exponential(-1j * t * M)
+        direct = taylor_unitary_exp(-1j * t * M)
         assert operator_norm(prop.unitaries[k] - direct) <= 1e-9
 
 
@@ -136,7 +138,7 @@ def test_convergence_is_checked_at_every_checkpoint():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]))
     prop = evolve_on_grid(_OddPulse(A), grid, tol=1e-10)
     # U(1) = exp(-i A int_0^1 10 (t - 1)^5 dt) = exp(i (5/3) A)
-    exact = unitary_exponential(1j * (5.0 / 3.0) * A)
+    exact = taylor_unitary_exp(1j * (5.0 / 3.0) * A)
     assert operator_norm(prop.unitaries[1] - exact) <= 10 * prop.tolerance
 
 
@@ -162,8 +164,10 @@ def test_nonconvergence_raises():
 
 def test_checkpoint_lookup(ramp_prop):
     _, prop = ramp_prop
-    assert prop.index_of(0.0) == 0
-    assert prop.index_of(100.0) == len(prop.grid) - 1
+    assert prop.grid.index_of(0.0) == 0
+    assert prop.grid.index_of(100.0) == len(prop.grid) - 1
+    assert prop.grid.index_of(37.0 + 1e-12) == 37
+    assert np.array_equal(prop.at(100.0), prop.unitaries[-1])
     with pytest.raises(ValidationError):
         prop.at(33.333)
 
@@ -219,25 +223,19 @@ def test_commutator_norm_role_swap_symmetry():
 
 
 def test_lr_bound_rhs_zero_at_t0():
-    assert lr_bound_rhs(Block([0]), Block([5]), 1.0, 1.0, 0.5, 2.0, 0.0) == 0.0
+    assert lr_bound_rhs(Block([0]), Block([5]), 1.0, 1.0, 0.5, 2.0 * 0.0) == 0.0
 
 
 def test_lr_bound_rhs_distance_falloff():
-    args = dict(norm_a=1.0, norm_b=1.0, mu=0.7, a_timeavg=2.0, t=1.5)
+    args = dict(norm_a=1.0, norm_b=1.0, mu=0.7, growth=2.0 * 1.5)
     near = lr_bound_rhs(Block([0]), Block([2]), **args)
     far = lr_bound_rhs(Block([0]), Block([4]), **args)
     assert far == pytest.approx(near * np.exp(-0.7 * 2), rel=1e-12)
 
 
-def test_lr_bound_rhs_uses_abs_t():
-    a = lr_bound_rhs(Block([0]), Block([3]), 1.0, 1.0, 0.5, 2.0, 1.0)
-    b = lr_bound_rhs(Block([0]), Block([3]), 1.0, 1.0, 0.5, 2.0, -1.0)
-    assert a == b
-
-
 def test_lr_bound_rhs_overlap_rejected():
     with pytest.raises(ValidationError):
-        lr_bound_rhs(Block([0, 1]), Block([1, 2]), 1.0, 1.0, 0.5, 1.0, 1.0)
+        lr_bound_rhs(Block([0, 1]), Block([1, 2]), 1.0, 1.0, 0.5, 1.0 * 1.0)
 
 
 def test_spread_identity_at_t0(ramp_prop):
@@ -420,6 +418,24 @@ def test_audit_measures_distance_in_the_certified_basis():
         if bound_audit(H, Block([i]), Block([j]), cert, propagator=prop).has_violations
     ]
     assert flagged == []
+
+
+def test_audit_rhs_is_lr_bound_rhs_in_the_certified_basis():
+    """bound_audit's rhs is lr_bound_rhs on the supports relabeled into the
+    certificate's basis, with the running integral of a_mu as growth."""
+    M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))
+    swap = np.arange(10)
+    swap[[0, 9]] = [9, 0]
+    H = ConstantHamiltonian(apply_permutation(M, swap))
+    grid = TimeGrid.uniform(2.0, 101)
+    cert = certify(H, 0.5, grid, permutation=swap)
+    report = bound_audit(H, Block([0]), Block([7]), cert, integrator_tol=1e-10)
+    a, t = cert.a_mu_samples, grid.points
+    growth = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(t))])
+    # level 0 sits at label 9, two labels from level 7
+    want = lr_bound_rhs(Block([9]), Block([7]), 1.0, 1.0, 0.5, growth)
+    np.testing.assert_allclose(report.rhs, want, rtol=1e-14, atol=0.0)
+    assert want[-1] == pytest.approx(2.0 * np.exp(-1.0) * np.expm1(growth[-1]))
 
 
 def test_audit_identical_supports_rejected():
