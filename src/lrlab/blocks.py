@@ -76,7 +76,9 @@ class BlockDecomposition:
 
 
 def _check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    H = np.asarray(H, dtype=complex)
+    """A read-only complex copy of H, once checked square and Hermitian, so
+    that later writes to the caller's array cannot reach it."""
+    H = np.array(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {H.shape}")
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
@@ -85,6 +87,7 @@ def _check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValidationError(
             f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}"
         )
+    H.setflags(write=False)
     return H
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocks import STRUCTURAL_ZERO, BlockDecomposition
 from .errors import NumericalError, ValidationError
-from .models import TimeDependentHamiltonian
+from .models import ConstantHamiltonian, TimeDependentHamiltonian
 from .numerics import TimeGrid, lambert_w, time_average
 
 # relative slack when comparing a locality load against a certificate's a_mu;
@@ -104,9 +104,14 @@ def _a_mu_samples(
     """a_mu(t) over the grid, in the basis where level i sits at label
     permutation[i]: only the diameters |permutation[i] - permutation[j]|
     depend on the ordering, and the max over levels needs no relabeled
-    matrices."""
-    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
-    return _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
+    matrices.  A ConstantHamiltonian's load is taken once and repeated."""
+    if isinstance(H, ConstantHamiltonian):
+        mats = H.matrix[None]
+    else:
+        mats = H.evaluate_batch(grid.points)
+    diag, off = _abs_offdiag_and_diag(mats)
+    loads = _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
+    return np.broadcast_to(loads, grid.points.shape).copy()
 
 
 def certify(

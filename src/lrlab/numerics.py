@@ -91,23 +91,15 @@ def lambert_w(x: float) -> float:
     raise ValidationError(f"lambert_w failed to converge for x = {x}")
 
 
-def time_average(samples, grid: TimeGrid, t: float | None = None) -> float:
-    """Trapezoidal approximation of (1/t) * integral of f over [0, t].
+def time_average(samples, grid: TimeGrid) -> float:
+    """Trapezoidal approximation of (1/T) * integral of f over [0, T].
 
-    `samples` are the values of f on the grid points; `t` defaults to the
-    last grid point and must equal it when given.  Exact for affine f.
+    `samples` are the values of f on the grid points and T is the last
+    grid point.  Exact for affine f.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != grid.points.shape:
         raise ValidationError(
             f"got {samples.size} samples for a {len(grid)}-point grid"
         )
-    if t is None:
-        t = grid.t_final
-    if t <= 0:
-        raise ValidationError(f"averaging window must be positive, got t={t}")
-    if abs(t - grid.t_final) > 1e-12 * max(1.0, abs(t)):
-        raise ValidationError(
-            f"t={t} does not match the final grid point {grid.t_final}"
-        )
-    return float(np.trapezoid(samples, grid.points) / t)
+    return float(np.trapezoid(samples, grid.points) / grid.t_final)

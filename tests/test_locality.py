@@ -8,6 +8,10 @@ from lrlab.blocks import pairwise_decompose
 from lrlab.errors import NumericalError, ValidationError
 from lrlab.locality import (
     LocalityCertificate,
+    _a_mu_samples,
+    _abs_offdiag_and_diag,
+    _label_distances,
+    _loads,
     a_mu_pointwise,
     certify,
     exp_local_bound,
@@ -209,6 +213,22 @@ def test_pointwise_and_certified_loads_share_one_kernel():
         cert = certify(ConstantHamiltonian(M), 0.4, grid)
         a = a_mu_pointwise(pairwise_decompose(M), 0.4)
         assert np.all(cert.a_mu_samples == a)
+
+
+def test_constant_load_is_the_batched_load_repeated():
+    """_a_mu_samples takes a constant H's load once; it equals the load of
+    the evaluated stack at every grid point, in any basis ordering."""
+    M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))
+    H = ConstantHamiltonian(M)
+    grid = TimeGrid.uniform(2.0, 401)
+    swap = np.arange(10)
+    swap[[0, 9]] = [9, 0]
+    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
+    for perm in (np.arange(10), swap):
+        batched = _loads(diag, off, _label_distances(perm), 0.5).max(axis=1)
+        got = _a_mu_samples(H, 0.5, grid, perm)
+        assert got.shape == grid.points.shape
+        assert np.array_equal(got, batched)
 
 
 def test_certify_with_permutation_matches_manual_reorder():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrlab.blocks import bandwidth
+from lrlab.blocks import bandwidth, pairwise_decompose
 from lrlab.errors import ValidationError
 from lrlab.models import (
     ConstantHamiltonian,
@@ -185,3 +185,21 @@ def test_interpolation_validation():
         LinearInterpolationHamiltonian(np.eye(2), np.eye(2), 0.0)
     with pytest.raises(ValidationError):
         ConstantHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_validated_matrices_are_read_only_copies():
+    """A later write to the caller's array cannot reach a validated
+    Hamiltonian, and the validated matrix itself cannot be written."""
+    M = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    H = ConstantHamiltonian(M)
+    ramp = LinearInterpolationHamiltonian(M, M, 1.0)
+    decomp = pairwise_decompose(M)
+    before = H.evaluate(0.0)
+    M[0, 1] = 5
+    assert np.array_equal(H.evaluate(0.0), before)
+    assert np.array_equal(ramp.evaluate(0.5), before)
+    assert decomp.matrix[0, 1] == 1.0
+    for kept in (H.matrix, ramp.h_initial, ramp.h_final, decomp.matrix):
+        assert kept is not M
+        with pytest.raises(ValueError):
+            kept[0, 1] = 5

@@ -14,12 +14,13 @@ from lrlab.models import (
     build_example_ramp,
     random_exp_local,
 )
-from lrlab.numerics import TimeGrid, operator_norm
+from lrlab.numerics import TimeGrid, operator_norm, operator_norms
 from lrlab.propagation import (
     Propagator,
     _checkpoints_fixed,
     _compose,
     _refinement_defect,
+    _unitarity_defect,
     _unitary_steps,
     bound_audit,
     commutator_norm,
@@ -93,18 +94,54 @@ def test_fourth_order_convergence():
 
 def test_constant_hamiltonian_steps_are_exact_exponentials():
     """For constant H the Gauss-point generator is H itself, so the
-    propagator equals the product of exp(-i h H) steps bit for bit."""
+    integrator's checkpoints equal the product of exp(-i h H) steps bit for
+    bit."""
     M = random_exp_local(ExpLocalSpec(9, 1.0, 1.0, seed=3))
     grid = TimeGrid.uniform(2.0, 41)
-    prop = evolve_on_grid(ConstantHamiltonian(M), grid, tol=1e-11)
+    m = 2
+    got = _checkpoints_fixed(ConstantHamiltonian(M), grid, m)
     n_int = len(grid) - 1
-    m = int(round(float(np.diff(grid.points)[0]) / prop.step))
     hs = np.repeat(np.diff(grid.points) / m, m)
     steps = _unitary_steps(np.broadcast_to(M, (n_int * m, 9, 9)), hs)
     want = [np.eye(9, dtype=complex)]
     for W in _compose(steps.reshape(n_int, m, 9, 9)):
         want.append(W @ want[-1])
-    assert np.array_equal(prop.unitaries, np.stack(want))
+    assert np.array_equal(got, np.stack(want))
+
+
+def test_constant_hamiltonian_closed_form_matches_oracles():
+    """evolve_on_grid serves a constant H as V e^(-i t w) V^dag; it agrees
+    with the extended-precision Taylor exponential and with the integrator
+    at every checkpoint."""
+    M = random_exp_local(ExpLocalSpec(9, 1.0, 1.0, seed=3))
+    H = ConstantHamiltonian(M)
+    grid = TimeGrid.uniform(2.0, 41)
+    tol = 1e-11
+    prop = evolve_on_grid(H, grid, tol)
+    taylor = np.stack([taylor_unitary_exp(-1j * t * M) for t in grid.points])
+    assert operator_norms(prop.unitaries - taylor).max() <= 1e-12
+    magnus = _checkpoints_fixed(H, grid, 2)
+    assert operator_norms(prop.unitaries - magnus).max() <= 1e-11
+    assert np.array_equal(prop.unitaries[0], np.eye(9))
+    assert prop.step == 0.0
+    assert prop.tolerance == tol
+    assert prop.unitarity_defect < 1e-13
+    with pytest.raises(ValidationError):
+        evolve_on_grid(H, grid, 0.0)
+
+
+def test_unitarity_defect_is_the_gram_norm():
+    """The eigvalsh form equals the largest singular value of U^dag U - I,
+    and a non-finite propagator is rejected."""
+    rng = np.random.default_rng(12)
+    U = np.stack([random_unitary(rng, 6) for _ in range(40)])
+    U += 1e-6 * rng.standard_normal(U.shape) * np.logspace(-6, 0, 40)[:, None, None]
+    gram = U.conj().transpose(0, 2, 1) @ U - np.eye(6)
+    want = np.linalg.svd(gram, compute_uv=False)[:, 0].max()
+    assert _unitarity_defect(U) == pytest.approx(want, rel=1e-9)
+    U[3, 1, 2] = np.nan
+    with pytest.raises(ValidationError):
+        _unitarity_defect(U)
 
 
 def test_refinement_defect_is_exact_where_it_reaches_tol():
@@ -156,7 +193,9 @@ def test_composition_property(ramp_prop):
 
 
 def test_nonconvergence_raises():
-    H = ConstantHamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    H = LinearInterpolationHamiltonian(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]]), 0.1
+    )
     with pytest.raises(IntegrationError) as err:
         evolve(H, 0.1, tol=1e-25, grid_points=2)
     assert err.value.defect is not None
