@@ -23,8 +23,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=50, help="ensemble size")
     ap.add_argument("--grid", type=int, default=1001, help="audit grid points")
-    ap.add_argument("--tol", type=float, default=1e-11,
-                    help="integrator tolerance for the audits")
     args = ap.parse_args()
 
     worst = np.inf
@@ -40,7 +38,7 @@ def main() -> int:
         a = a_mu_pointwise(pairwise_decompose(M), mu)
         grid = TimeGrid.uniform(5.0 / a, args.grid)
         cert = certify(H, mu, grid)
-        prop = evolve_on_grid(H, grid, args.tol)
+        prop = evolve_on_grid(H, grid)
 
         case_min = np.inf
         case_bad = 0

@@ -106,12 +106,11 @@ def _a_mu_samples(
     depend on the ordering, and the max over levels needs no relabeled
     matrices.  A ConstantHamiltonian's load is taken once and repeated."""
     if isinstance(H, ConstantHamiltonian):
-        mats = H.matrix[None]
-    else:
-        mats = H.evaluate_batch(grid.points)
-    diag, off = _abs_offdiag_and_diag(mats)
-    loads = _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
-    return np.broadcast_to(loads, grid.points.shape).copy()
+        diag, off = _abs_offdiag_and_diag(H.matrix[None])
+        load = _loads(diag, off, _label_distances(permutation), mu).max()
+        return np.full(grid.points.shape, load)
+    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
+    return _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
 
 
 def certify(

@@ -23,8 +23,9 @@ refinements agree to the requested tolerance at every checkpoint.
 A ConstantHamiltonian skips the integrator: U(t) = V e^(-i t w) V^dag
 from one eigh of H = V diag(w) V^dag serves every checkpoint, with U(0)
 set to exactly I.  Its Propagator reports step 0.0 (no substeps) and the
-requested tolerance, which the closed form meets up to rounding.  For
-constant H the integrator is kept as a test oracle.
+requested tolerance, or the measured unitarity defect where that is larger:
+rounding, not truncation, bounds the closed form's error.  For constant H
+the integrator is kept as a test oracle.
 
 The bound audit reads ||[U^dag P_A U, P_B]|| = ||U[A, B] U[A^c, B]^dag||
 from a block of the propagator (|U_ab| ||U[A^c, b]|| for singletons): with
@@ -65,7 +66,9 @@ class Propagator:
     grid: TimeGrid
     unitaries: np.ndarray  # (len(grid), d, d)
     step: float  # widest substep; 0.0 for the closed form, which takes none
-    tolerance: float  # the contract every checkpoint meets
+    # the contract every checkpoint meets; for the closed form, the requested
+    # tol or the measured unitarity defect, whichever is larger
+    tolerance: float
     unitarity_defect: float
 
     @property
@@ -196,8 +199,8 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
 
     A ConstantHamiltonian H = V diag(w) V^dag is served in closed form,
     U(t) = V e^(-i t w) V^dag, from one eigh, with U(0) exactly I.  Its
-    Propagator has step 0.0 (no substeps) and tolerance tol, which the
-    closed form meets at every checkpoint up to rounding.
+    Propagator has step 0.0 (no substeps) and tolerance tol, or its
+    unitarity defect where rounding cannot reach a tol that small.
 
     Any other H is integrated: each grid interval takes m fourth-order
     Magnus substeps at the Gauss points (see the module docstring).  m
@@ -213,12 +216,13 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         unitaries = (V * phases[:, None, :]) @ V.conj().T
         # V V^dag is I only to rounding; lhs(0) = 0 = rhs(0) in the audit
         unitaries[0] = np.eye(H.dimension)
+        defect = _unitarity_defect(unitaries)
         return Propagator(
             grid=grid,
             unitaries=unitaries,
             step=0.0,
-            tolerance=tol,
-            unitarity_defect=_unitarity_defect(unitaries),
+            tolerance=max(tol, defect),
+            unitarity_defect=defect,
         )
     m = 1
     prev = _checkpoints_fixed(H, grid, m)

@@ -126,6 +126,9 @@ def test_constant_hamiltonian_closed_form_matches_oracles():
     assert prop.step == 0.0
     assert prop.tolerance == tol
     assert prop.unitarity_defect < 1e-13
+    # a tol below rounding is not claimed: the measured defect is reported
+    fine = evolve_on_grid(H, grid, 1e-25)
+    assert fine.tolerance == fine.unitarity_defect > 1e-25
     with pytest.raises(ValidationError):
         evolve_on_grid(H, grid, 0.0)
 
