@@ -11,6 +11,8 @@ Gdot is computed from first-order perturbation theory,
     Gdot = sum_{k outside, g inside} |k><k| Hdot |g><g| / (E_g - E_k) + h.c.,
 
 which is exact for an isolated cluster and avoids finite-difference noise.
+On the grid, R = Gdot's excited-ground block is read off the flow's
+eigenframes; h_ad diagonalizes H itself, at times off the grid too.
 """
 
 from __future__ import annotations
@@ -121,20 +123,16 @@ def spectral_flow(
     )
 
 
-def _eig_checked(
-    H: TimeDependentHamiltonian, ts: np.ndarray, gdim: int, cluster_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched eigensystems with cluster-consistency and gap checks; the
-    gap floor guards the 1/(E_g - E_k) of the projector derivative."""
-    vals, vecs = np.linalg.eigh(H.evaluate_batch(ts))
-    gap = _cluster_gap(vals, ts, gdim, cluster_tol)
-    if np.any(gap <= MIN_DERIVATIVE_GAP):
-        k = int(np.nonzero(gap <= MIN_DERIVATIVE_GAP)[0][0])
+def _check_derivative_gap(gap: np.ndarray, ts: np.ndarray) -> None:
+    """Refuse gaps at or below MIN_DERIVATIVE_GAP, where the projector
+    derivative's 1/(E_g - E_k) blows up."""
+    low = gap <= MIN_DERIVATIVE_GAP
+    if np.any(low):
+        k = int(np.nonzero(low)[0][0])
         raise IllConditionedError(
             f"gap {gap[k]:.3e} below {MIN_DERIVATIVE_GAP} at t={ts[k]}: "
             "projector derivative is ill-conditioned"
         )
-    return vals, vecs
 
 
 def _gdot_eigframe(
@@ -152,34 +150,16 @@ def _gdot_eigframe(
     return W[:, gdim:, :gdim] / denom
 
 
-def ground_projector_derivative(
-    H: TimeDependentHamiltonian, flow: SpectralFlow, t: float
-) -> np.ndarray:
-    """Gdot(t) from first-order perturbation theory (Hermitian)."""
-    ts = np.asarray([t], dtype=float)
-    gdim = flow.ground_dim
-    vals, vecs = _eig_checked(H, ts, gdim, flow.cluster_tol)
-    R = _gdot_eigframe(H, ts, vals, vecs, gdim)[0]
-    d = H.dimension
-    gdot_eig = np.zeros((d, d), dtype=complex)
-    gdot_eig[gdim:, :gdim] = R
-    gdot_eig[:gdim, gdim:] = R.conj().T
-    V = vecs[0]
-    return V @ gdot_eig @ V.conj().T
-
-
 def h_ad(
-    H: TimeDependentHamiltonian, flow: SpectralFlow, t: float
-) -> np.ndarray:
-    """Adiabatic generator H(t) + i [Gdot(t), G(t)]."""
-    return _h_ad_batch(H, flow, np.asarray([t], dtype=float))[0]
-
-
-def _h_ad_batch(
     H: TimeDependentHamiltonian, flow: SpectralFlow, ts: np.ndarray
 ) -> np.ndarray:
+    """Adiabatic generator H(t) + i [Gdot(t), G(t)] at each of the times ts,
+    shape (len(ts), dim, dim).  The times need not lie on the flow's grid:
+    H is diagonalized at each, with the flow's cluster size and cluster_tol."""
+    ts = np.asarray(ts, dtype=float)
     gdim = flow.ground_dim
-    vals, vecs = _eig_checked(H, ts, gdim, flow.cluster_tol)
+    vals, vecs = np.linalg.eigh(H.evaluate_batch(ts))
+    _check_derivative_gap(_cluster_gap(vals, ts, gdim, flow.cluster_tol), ts)
     R = _gdot_eigframe(H, ts, vals, vecs, gdim)
     n_t, d = vals.shape
     core = np.zeros((n_t, d, d), dtype=complex)
@@ -202,7 +182,7 @@ class _AdiabaticGenerator:
         self.dimension = H.dimension
 
     def evaluate_batch(self, ts: np.ndarray) -> np.ndarray:
-        return _h_ad_batch(self._H, self._flow, np.asarray(ts, dtype=float))
+        return h_ad(self._H, self._flow, ts)
 
 
 def intertwining_defect(U_ad: Propagator, flow: SpectralFlow) -> float:
@@ -212,8 +192,7 @@ def intertwining_defect(U_ad: Propagator, flow: SpectralFlow) -> float:
     U = U_ad.unitaries
     G0 = flow.ground_projector[0]
     transported = U @ G0 @ U.conj().transpose(0, 2, 1)
-    dev = transported - flow.ground_projector
-    return float(np.linalg.svd(dev, compute_uv=False)[:, 0].max())
+    return float(operator_norms(transported - flow.ground_projector).max())
 
 
 def evolve_adiabatic(
@@ -234,19 +213,6 @@ def evolve_adiabatic(
             stacklevel=2,
         )
     return prop
-
-
-def kernel_K(
-    H: TimeDependentHamiltonian,
-    flow: SpectralFlow,
-    U_ad: Propagator,
-    t: float,
-) -> np.ndarray:
-    """Effective wave-operator generator U_ad^dag [H - H_ad] U_ad at a
-    checkpoint time."""
-    Uk = U_ad.at(t)
-    D = H.evaluate(t) - h_ad(H, flow, t)
-    return Uk.conj().T @ D @ Uk
 
 
 def adiabatic_error(U: Propagator, flow: SpectralFlow) -> float:
@@ -277,9 +243,7 @@ def wave_operator_errors(
     if not np.array_equal(U.grid.points, U_ad.grid.points):
         raise ValidationError("the two propagators use different grids")
     omega = U_ad.unitaries.conj().transpose(0, 2, 1) @ U.unitaries
-    dev = np.eye(U.dimension) - omega
-    delta_t = np.linalg.svd(dev, compute_uv=False)[:, 0]
-    return delta_t, adiabatic_error(U, flow)
+    return operator_norms(np.eye(U.dimension) - omega), adiabatic_error(U, flow)
 
 
 @dataclass(eq=False)
@@ -314,29 +278,6 @@ def run_adiabatic(
     )
 
 
-def instantaneous_locality(
-    H: TimeDependentHamiltonian, flow: SpectralFlow, mu: float, t: float
-) -> float:
-    """Locality load of H - H_ad in the instantaneous eigenbasis at time t.
-
-    In the eigenbasis of H(t) (ascending order), H - H_ad = -i [Gdot, G] has
-    only the excited-ground blocks -i R and their adjoint (see
-    ``_gdot_eigframe``): G (H - H_ad) G and Gperp (H - H_ad) Gperp vanish.
-    So the pairwise blocks meeting the ground labels are the pairs {g, k}
-    with norm |R_kg| and diameter k - g.  Their sum weighted by
-    e^(mu diam Z) is divided by the cluster size.
-    """
-    if mu <= 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
-    ts = np.asarray([t], dtype=float)
-    gdim = flow.ground_dim
-    vals, vecs = _eig_checked(H, ts, gdim, flow.cluster_tol)
-    R = np.abs(_gdot_eigframe(H, ts, vals, vecs, gdim)[0])
-    levels = np.arange(H.dimension)
-    diam = levels[gdim:, None] - levels[None, :gdim]
-    return float(np.sum(R * np.exp(mu * diam)) / gdim)
-
-
 @dataclass(eq=False)
 class ConditionReport:
     """The slow-driving ratios and the locality-to-adiabaticity chain."""
@@ -350,6 +291,7 @@ class ConditionReport:
     hdiff_norms: np.ndarray  # per-time ||H - H_ad||
     hdot_norms: np.ndarray  # per-time ||Hdot||
     block_sums: np.ndarray  # per-time sum of ground-touching block norms
+    energy_locality: np.ndarray  # per-time sum |R_kg| e^(mu (k - g)) / |G|
     gap_min: float
     ground_dim: int
     mu: float
@@ -373,26 +315,29 @@ def condition_report(
     flow: SpectralFlow,
     certificate: LocalityCertificate,
 ) -> ConditionReport:
-    """Evaluate the adiabatic-condition ratios on the flow's grid.
+    """Evaluate the adiabatic-condition ratios on the flow's grid, from the
+    flow's eigenframes.
 
-    The chain terms compare, at the shared scale 1/(mu |G| gap_min), the sum
-    of ground-touching block norms of H - H_ad in the instantaneous basis
-    against ||H - H_ad|| itself; the former dominates by the triangle
-    inequality.
+    In the eigenbasis of H(t), H - H_ad = -i [Gdot, G] has only the
+    excited-ground blocks -i R and their adjoint (see ``_gdot_eigframe``).
+    So ||H - H_ad|| is the top singular value of R, and the pairwise blocks
+    meeting the ground labels are the pairs {g, k} of norm |R_kg| and
+    diameter k - g: ``block_sums`` adds their norms, and ``energy_locality``
+    weights them by e^(mu diam) and divides by |G|.  The chain terms compare
+    the two sides of the triangle inequality block_sums >= ||H - H_ad|| at
+    the shared scale 1/(mu |G| gap_min).
     """
     pts = flow.grid.points
     gdim = flow.ground_dim
     mu = certificate.mu
-    vals, vecs = _eig_checked(H, pts, gdim, flow.cluster_tol)
-    R = _gdot_eigframe(H, pts, vals, vecs, gdim)
-    # H_ad - H = i[Gdot, G] is the off-diagonal block pair built from R, so
-    # its norm is the top singular value of R and the ground-touching block
-    # sum is the sum of |R| entries (diagonal blocks vanish identically)
-    if R.shape[1] and R.shape[2]:
-        hdiff = np.linalg.svd(R, compute_uv=False)[:, 0]
-    else:
-        hdiff = np.zeros(len(pts))
-    block_sums = np.abs(R).sum(axis=(1, 2))
+    _check_derivative_gap(flow.gap, pts)
+    R = _gdot_eigframe(H, pts, flow.eigenvalues, flow.basis, gdim)
+    hdiff = operator_norms(R)
+    absR = np.abs(R)
+    block_sums = absR.sum(axis=(1, 2))
+    levels = np.arange(H.dimension)
+    diam = levels[gdim:, None] - levels[None, :gdim]
+    energy_locality = (absR * np.exp(mu * diam)).sum(axis=(1, 2)) / gdim
     hdot = operator_norms(H.derivative_batch(pts))
 
     gap_min = flow.gap_min
@@ -407,6 +352,7 @@ def condition_report(
         hdiff_norms=hdiff,
         hdot_norms=hdot,
         block_sums=block_sums,
+        energy_locality=energy_locality,
         gap_min=gap_min,
         ground_dim=gdim,
         mu=mu,

@@ -76,11 +76,14 @@ class BlockDecomposition:
 
 
 def _check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """A read-only complex copy of H, once checked square and Hermitian, so
-    that later writes to the caller's array cannot reach it."""
+    """A read-only complex copy of H, once checked square, finite and
+    Hermitian, so that later writes to the caller's array cannot reach it."""
     H = np.array(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {H.shape}")
+    # NaN fails both comparisons below, so it must be refused here
+    if not np.all(np.isfinite(H)):
+        raise ValidationError("matrix contains NaN or Inf entries")
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
     defect = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
     if defect > tol * scale:

@@ -95,6 +95,18 @@ def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
     return float(loads.max(initial=0.0))
 
 
+def _abs_stack(
+    H: TimeDependentHamiltonian, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of |H| on the grid, as from ``_abs_offdiag_and_diag``: the
+    evaluated (times, d, d) stack, or, for a ConstantHamiltonian, its one
+    matrix as a (1, d, d) stack.  Loads taken from it broadcast over the
+    grid either way."""
+    if isinstance(H, ConstantHamiltonian):
+        return _abs_offdiag_and_diag(H.matrix[None])
+    return _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
+
+
 def _a_mu_samples(
     H: TimeDependentHamiltonian,
     mu: float,
@@ -104,13 +116,10 @@ def _a_mu_samples(
     """a_mu(t) over the grid, in the basis where level i sits at label
     permutation[i]: only the diameters |permutation[i] - permutation[j]|
     depend on the ordering, and the max over levels needs no relabeled
-    matrices.  A ConstantHamiltonian's load is taken once and repeated."""
-    if isinstance(H, ConstantHamiltonian):
-        diag, off = _abs_offdiag_and_diag(H.matrix[None])
-        load = _loads(diag, off, _label_distances(permutation), mu).max()
-        return np.full(grid.points.shape, load)
-    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
-    return _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
+    matrices."""
+    diag, off = _abs_stack(H, grid)
+    loads = _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
+    return np.broadcast_to(loads, grid.points.shape).copy()
 
 
 def certify(
@@ -185,14 +194,15 @@ def optimize_mu_generic(
         raise ValidationError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
     permutation = np.arange(H.dimension)
-    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
+    diag, off = _abs_stack(H, grid)
     dist = _label_distances(permutation)
 
     def v_of_mu(mu: float) -> float:
         # overflow to inf is deliberate; the scan check below rejects it
         with np.errstate(over="ignore"):
-            loads = _loads(diag, off, dist, mu)
-            return time_average(loads.max(axis=1), grid) / mu
+            loads = _loads(diag, off, dist, mu).max(axis=1)
+            samples = np.broadcast_to(loads, grid.points.shape)
+            return time_average(samples, grid) / mu
 
     scan_mus = np.linspace(lo, hi, scan_points)
     scan_vals = np.array([v_of_mu(m) for m in scan_mus])

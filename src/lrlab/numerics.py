@@ -60,7 +60,7 @@ def operator_norm(M: np.ndarray) -> float:
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (n, d, d) stack."""
+    """Largest singular value of each matrix in a (n, rows, cols) stack."""
     stack = np.asarray(stack)
     if stack.ndim != 3:
         raise ValidationError(f"expected a matrix stack, got ndim={stack.ndim}")

@@ -32,8 +32,8 @@ from a block of the propagator (|U_ab| ||U[A^c, b]|| for singletons): with
 Q = U^dag P_A U and P = P_B, QP - PQ = QP(1 - Q) - (1 - Q)PQ, two mutually
 adjoint off-diagonal blocks of norm ||QP(1 - Q)||.  The identity assumes a
 unitary U; otherwise it departs from the commutator of the conjugated
-projector by O(unitarity_defect).  ``commutator_norm`` keeps the generic
-form as the independent check.
+projector by O(unitarity_defect).  ``tests/_oracles.commutator_norm`` keeps
+the generic form as the independent check.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .blocks import Block, block_distance
 from .errors import IntegrationError, ValidationError
 from .locality import _LOAD_RTOL, LocalityCertificate, _a_mu_samples
 from .models import ConstantHamiltonian
-from .numerics import TimeGrid, operator_norm, operator_norms
+from .numerics import TimeGrid, operator_norms
 
 # substeps processed per vectorized batch (memory/speed tradeoff)
 _BATCH_SUBSTEPS = 16384
@@ -139,30 +139,23 @@ def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
     out[0] = np.eye(d)
     U = np.eye(d, dtype=complex)
 
-    if m <= _BATCH_SUBSTEPS:
-        per_batch = max(1, _BATCH_SUBSTEPS // m)
-        offsets = np.arange(m) / m
-        for g0 in range(0, n_int, per_batch):
-            g1 = min(n_int, g0 + per_batch)
-            widths = pts[g0 + 1 : g1 + 1] - pts[g0:g1]
-            starts = pts[g0:g1, None] + offsets[None, :] * widths[:, None]
-            hs = np.repeat(widths / m, m)
-            steps = _magnus_steps(H, starts.ravel(), hs).reshape(g1 - g0, m, d, d)
-            interval_props = _compose(steps)
-            for g, W in zip(range(g0, g1), interval_props):
-                U = W @ U
-                if (g + 1) % _POLAR_EVERY == 0:
-                    U = _reunitarize(U)
-                out[g + 1] = U
-    else:
-        for g in range(n_int):
-            width = pts[g + 1] - pts[g]
-            h = width / m
-            for s0 in range(0, m, _BATCH_SUBSTEPS):
-                s1 = min(m, s0 + _BATCH_SUBSTEPS)
-                starts = pts[g] + np.arange(s0, s1) * h
-                steps = _magnus_steps(H, starts, np.full(s1 - s0, h))
-                U = _compose(steps) @ U
+    # a block is several whole intervals in one chunk of substeps, or, for
+    # m > _BATCH_SUBSTEPS, one interval in several chunks
+    per_block = max(1, _BATCH_SUBSTEPS // m)
+    chunk = min(m, _BATCH_SUBSTEPS)
+    for g0 in range(0, n_int, per_block):
+        g1 = min(n_int, g0 + per_block)
+        widths = pts[g0 + 1 : g1 + 1] - pts[g0:g1]
+        chunk_props = []
+        for s0 in range(0, m, chunk):
+            s1 = min(m, s0 + chunk)
+            starts = pts[g0:g1, None] + (np.arange(s0, s1) / m) * widths[:, None]
+            hs = np.repeat(widths / m, s1 - s0)
+            steps = _magnus_steps(H, starts.ravel(), hs)
+            chunk_props.append(_compose(steps.reshape(g1 - g0, s1 - s0, d, d)))
+        for k, g in enumerate(range(g0, g1)):
+            for props in chunk_props:
+                U = props[k] @ U
             if (g + 1) % _POLAR_EVERY == 0:
                 U = _reunitarize(U)
             out[g + 1] = U
@@ -246,33 +239,6 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         f"(last defect {diff:.3e})",
         defect=diff,
     )
-
-
-def evolve(
-    H, t_final: float, tol: float = 1e-9, grid_points: int = 1001
-) -> Propagator:
-    """Convenience wrapper: uniform output grid over [0, t_final]."""
-    return evolve_on_grid(H, TimeGrid.uniform(t_final, grid_points), tol)
-
-
-def heisenberg(A: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture operator U^dag A U."""
-    A, U = np.asarray(A), np.asarray(U)
-    if A.shape != U.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(
-            f"incompatible shapes for conjugation: {A.shape} vs {U.shape}"
-        )
-    return U.conj().T @ A @ U
-
-
-def commutator_norm(A: np.ndarray, B: np.ndarray, U: np.ndarray) -> float:
-    """|| [U^dag A U, B] ||."""
-    At = heisenberg(A, U)
-    if B.shape != At.shape:
-        raise ValidationError(
-            f"incompatible shapes for commutator: {At.shape} vs {B.shape}"
-        )
-    return operator_norm(At @ B - B @ At)
 
 
 def lr_bound_rhs(

@@ -55,6 +55,20 @@ def rk4_propagator(H, t_final, n_steps, chunk=4096):
     return U
 
 
+def heisenberg(A, U):
+    """Heisenberg-picture operator U^dag A U; numpy refuses mismatched
+    shapes with a ValueError."""
+    U = np.asarray(U)
+    return U.conj().T @ np.asarray(A) @ U
+
+
+def commutator_norm(A, B, U):
+    """|| [U^dag A U, B] ||, the generic form that the bound audit reads
+    from a block of U."""
+    At = heisenberg(A, U)
+    return float(np.linalg.norm(At @ B - B @ At, 2))
+
+
 def bisect_lambert(x, lo=0.0, hi=10.0, tol=1e-13):
     """Solve w e^w = x for w >= 0 by bisection (monotone on w >= 0)."""
     f = lambda w: w * np.exp(w) - x

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from lrlab.adiabatic import (
+    MIN_DERIVATIVE_GAP,
     adiabatic_error,
     condition_report,
     evolve_adiabatic,
-    ground_projector_derivative,
     h_ad,
-    instantaneous_locality,
     intertwining_defect,
-    kernel_K,
     run_adiabatic,
     spectral_flow,
     wave_operator_errors,
@@ -21,7 +19,7 @@ from lrlab.models import (
     LinearInterpolationHamiltonian,
     build_example_ramp,
 )
-from lrlab.numerics import TimeGrid, operator_norm
+from lrlab.numerics import TimeGrid, operator_norm, operator_norms
 from lrlab.propagation import evolve_on_grid
 
 from _oracles import random_hermitian
@@ -92,19 +90,27 @@ def test_h_ad_path_checks_cluster_and_derivative_gap():
     flow = spectral_flow(H, TimeGrid([0.0, t_near]), cluster_tol=1e-12)
     assert flow.gap[-1] == pytest.approx(5e-9, rel=1e-6)
     with pytest.raises(IllConditionedError):
-        h_ad(H, flow, t_near)
+        h_ad(H, flow, [t_near])
     with pytest.raises(LevelCrossingError):
-        h_ad(H, flow, 0.5)  # degenerate: the cluster spans both levels
+        h_ad(H, flow, [0.5])  # degenerate: the cluster spans both levels
 
 
 # -- projector derivative ------------------------------------------------------
 
 
+def gdot_from_h_ad(H, flow, t, G):
+    """Gdot(t) = -i [H_ad - H, G]: with H_ad - H = i [Gdot, G] and
+    G Gdot G = 0, [[Gdot, G], G] = Gdot G + G Gdot = Gdot."""
+    D = h_ad(H, flow, [t])[0] - H.evaluate(t)
+    return -1j * (D @ G - G @ D)
+
+
 def test_gdot_constant_is_zero():
     rng = np.random.default_rng(1)
     M = random_hermitian(rng, 5)
-    flow = spectral_flow(ConstantHamiltonian(M), TimeGrid.uniform(1.0, 11))
-    gdot = ground_projector_derivative(ConstantHamiltonian(M), flow, 0.5)
+    H = ConstantHamiltonian(M)
+    flow = spectral_flow(H, TimeGrid.uniform(1.0, 11))
+    gdot = gdot_from_h_ad(H, flow, 0.5, flow.ground_projector[5])
     assert operator_norm(gdot) <= 1e-12
 
 
@@ -122,25 +128,30 @@ def test_gdot_matches_finite_difference(ramp_run):
     # interior point: central difference
     t = 0.4 * T
     fd = (projector(t + h) - projector(t - h)) / (2 * h)
-    gdot = ground_projector_derivative(H, flow, t)
+    gdot = gdot_from_h_ad(H, flow, t, projector(t))
     assert operator_norm(gdot - fd) <= 1e-6 * operator_norm(gdot)
     # start point: forward difference (first-order accurate)
     fd0 = (projector(h) - projector(0.0)) / h
-    gdot0 = ground_projector_derivative(H, flow, 0.0)
+    gdot0 = gdot_from_h_ad(H, flow, 0.0, projector(0.0))
     assert operator_norm(gdot0 - fd0) <= 1e-4 * operator_norm(gdot0)
 
 
 def test_gdot_idempotency_derivative(ramp_run):
+    """Gdot is Hermitian and off-block-diagonal (the derivative of G^2 = G),
+    which its commutator form gives by construction, and it solves the
+    derivative of [H, G] = 0, [H, Gdot] = -[Hdot, G], which checks H_ad."""
     H, run = ramp_run
     flow = run.flow
     for t in (0.0, 7.3, 21.1):
-        gdot = ground_projector_derivative(H, flow, t)
-        assert operator_norm(gdot - gdot.conj().T) <= 1e-10
-        k = flow.grid.index_of(flow.grid.points[np.argmin(np.abs(flow.grid.points - t))])
         vals, vecs = np.linalg.eigh(H.evaluate(t))
         G = vecs[:, :1] @ vecs[:, :1].conj().T
+        gdot = gdot_from_h_ad(H, flow, t, G)
+        assert operator_norm(gdot - gdot.conj().T) <= 1e-10
         assert operator_norm(gdot @ G + G @ gdot - gdot) <= 1e-8
         assert operator_norm(G @ gdot @ G) <= 1e-9
+        Ht, Hdot = H.evaluate(t), H.derivative(t)
+        eom = Ht @ gdot - gdot @ Ht + Hdot @ G - G @ Hdot
+        assert operator_norm(eom) <= 1e-10
 
 
 # -- adiabatic generator ---------------------------------------------------------
@@ -151,14 +162,14 @@ def test_h_ad_constant_equals_h():
     M = random_hermitian(rng, 5)
     H = ConstantHamiltonian(M)
     flow = spectral_flow(H, TimeGrid.uniform(1.0, 11))
-    assert operator_norm(h_ad(H, flow, 0.3) - M) <= 1e-12
+    assert operator_norm(h_ad(H, flow, [0.3])[0] - M) <= 1e-12
 
 
 def test_h_ad_hermitian_and_block_structure(ramp_run):
     H, run = ramp_run
     flow = run.flow
-    for t in (0.0, 5.0, 24.9):
-        HA = h_ad(H, flow, t)
+    ts = [0.0, 5.0, 24.9]
+    for t, HA in zip(ts, h_ad(H, flow, ts)):
         assert operator_norm(HA - HA.conj().T) <= 1e-10
         D = HA - H.evaluate(t)
         vals, vecs = np.linalg.eigh(H.evaluate(t))
@@ -174,10 +185,8 @@ def test_h_ad_correction_scales_as_one_over_T():
     for T in (30.0, 60.0):
         H = build_example_ramp(T)
         flow = spectral_flow(H, TimeGrid.uniform(T, 201))
-        norms[T] = [
-            operator_norm(h_ad(H, flow, s * T) - H.evaluate(s * T))
-            for s in s_values
-        ]
+        ts = T * np.asarray(s_values)
+        norms[T] = operator_norms(h_ad(H, flow, ts) - H.evaluate_batch(ts))
     for a, b in zip(norms[30.0], norms[60.0]):
         assert a / b == pytest.approx(2.0, rel=0.05)
 
@@ -212,31 +221,6 @@ def test_transported_projector_trace(ramp_run):
     assert abs(np.trace(transported - GT)) <= 1e-8
 
 
-# -- kernel ----------------------------------------------------------------------
-
-
-def test_kernel_constant_zero():
-    rng = np.random.default_rng(4)
-    M = random_hermitian(rng, 4)
-    H = ConstantHamiltonian(M)
-    grid = TimeGrid.uniform(1.0, 11)
-    flow = spectral_flow(H, grid)
-    U_ad = evolve_adiabatic(H, flow, tol=1e-10)
-    assert operator_norm(kernel_K(H, flow, U_ad, 0.5)) <= 1e-10
-
-
-def test_kernel_norm_identity(ramp_run):
-    H, run = ramp_run
-    for t in run.flow.grid.points[:: len(run.flow.grid) // 7]:
-        K = kernel_K(H, run.flow, run.U_ad, t)
-        D = H.evaluate(t) - h_ad(H, run.flow, t)
-        assert operator_norm(K) == pytest.approx(operator_norm(D), abs=1e-10)
-        assert operator_norm(K - K.conj().T) <= 1e-10
-        # conjugating back recovers H - H_ad exactly
-        Uk = run.U_ad.at(t)
-        assert operator_norm(Uk @ K @ Uk.conj().T - D) <= 1e-12
-
-
 # -- wave-operator errors -----------------------------------------------------------
 
 
@@ -266,12 +250,8 @@ def test_delta_bounded_by_kernel_integral(ramp_run):
     H, run = ramp_run
     pts = run.flow.grid.points
     mids = 0.5 * (pts[:-1] + pts[1:])
-    hdiff = np.array(
-        [operator_norm(H.evaluate(t) - h_ad(H, run.flow, t)) for t in pts]
-    )
-    hdiff_mid = np.array(
-        [operator_norm(H.evaluate(t) - h_ad(H, run.flow, t)) for t in mids]
-    )
+    hdiff = operator_norms(H.evaluate_batch(pts) - h_ad(H, run.flow, pts))
+    hdiff_mid = operator_norms(H.evaluate_batch(mids) - h_ad(H, run.flow, mids))
     cumint = simpson_cumulative(hdiff, hdiff_mid, pts)
     assert np.all(run.delta_t <= cumint + 1e-9)
     assert run.delta_t[0] == 0.0
@@ -353,7 +333,25 @@ def test_hdiff_bounded_by_hdot_over_gap(ramp_run):
     )
 
 
-# -- instantaneous locality --------------------------------------------------------------
+def test_condition_report_checks_the_derivative_gap():
+    """condition_report reads the flow's gaps and refuses any at or below
+    the derivative floor, as the H_ad path does."""
+    H = LinearInterpolationHamiltonian(
+        np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), 1.0
+    )
+    grid = TimeGrid([0.0, 0.5 - 2.5e-9])  # gap 5e-9
+    flow = spectral_flow(H, grid, cluster_tol=1e-12)
+    with pytest.raises(IllConditionedError):
+        condition_report(H, flow, certify(H, 0.5, grid))
+    # a gap exactly at the floor is refused too
+    H = ConstantHamiltonian(np.diag([0.0, MIN_DERIVATIVE_GAP]))
+    flow = spectral_flow(H, grid, cluster_tol=1e-12)
+    assert flow.gap_min == MIN_DERIVATIVE_GAP
+    with pytest.raises(IllConditionedError):
+        condition_report(H, flow, certify(H, 0.5, grid))
+
+
+# -- energy-basis locality ------------------------------------------------------------
 
 
 def test_instantaneous_locality_constant_zero():
@@ -362,38 +360,39 @@ def test_instantaneous_locality_constant_zero():
     H = ConstantHamiltonian(M)
     grid = TimeGrid.uniform(1.0, 11)
     flow = spectral_flow(H, grid)
-    assert instantaneous_locality(H, flow, 0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
+    report = condition_report(H, flow, certify(H, 0.5, grid))
+    assert report.energy_locality.shape == grid.points.shape
+    assert np.abs(report.energy_locality).max() <= 1e-12
 
 
 def test_instantaneous_locality_matches_block_path(ramp_run):
-    """Cross-check the generic pairwise path against the eigenframe blocks."""
+    """energy_locality against the pairwise blocks of H - H_ad, built from
+    the batched h_ad and written in the flow's eigenframes: on the ramp, and
+    on two uncoupled copies of a two-level ramp, whose ground cluster has
+    two levels."""
     H, run = ramp_run
-    flow = run.flow
+    pair = np.array([[0.0, 0.3], [0.3, 1.0]])
+    doubled = LinearInterpolationHamiltonian(
+        np.kron(np.eye(2), np.diag([0.0, 1.0])), np.kron(np.eye(2), pair), 5.0
+    )
+    doubled_flow = spectral_flow(doubled, TimeGrid.uniform(5.0, 51))
+    assert doubled_flow.ground_dim == 2
+    cases = [(H, run.flow), (doubled, doubled_flow)]
     mu = 0.5
-    for t in flow.grid.points[:: len(flow.grid) // 5]:
-        got = instantaneous_locality(H, flow, mu, t)
-        k = flow.grid.index_of(t)
-        V = flow.basis[k]
-        D = H.evaluate(t) - h_ad(H, flow, t)
-        D_eig = V.conj().T @ D @ V
-        total = sum(
-            abs(D_eig[0, j]) * np.exp(mu * j)
-            for j in range(1, 11)
-            if abs(D_eig[0, j]) > 1e-14
+    for H, flow in cases:
+        pts = flow.grid.points
+        gdim, d = flow.ground_dim, H.dimension
+        report = condition_report(H, flow, certify(H, mu, flow.grid))
+        D = H.evaluate_batch(pts) - h_ad(H, flow, pts)
+        V = flow.basis
+        D_eig = V.conj().transpose(0, 2, 1) @ D @ V
+        # ground level g meets level k >= gdim in a block of diameter k - g
+        diam = np.arange(gdim, d)[:, None] - np.arange(gdim)[None, :]
+        blocks = np.abs(D_eig[:, gdim:, :gdim]) * np.exp(mu * diam)
+        oracle = blocks.sum(axis=(1, 2)) / gdim
+        np.testing.assert_allclose(
+            report.energy_locality, oracle, rtol=1e-10, atol=1e-14
         )
-        assert got == pytest.approx(total, rel=1e-10, abs=1e-14)
-
-
-def test_instantaneous_locality_off_the_flow_grid(ramp_run):
-    """The load needs H(t) only, not the flow's stored frames, so t need not
-    be a grid point; the oracle builds the eigenframe of H(t) by hand."""
-    H, run = ramp_run
-    flow = run.flow
-    t, mu = 7.31, 0.5  # between grid points 7.30 and 7.35
-    _, V = np.linalg.eigh(H.evaluate(t))
-    D_eig = V.conj().T @ (H.evaluate(t) - h_ad(H, flow, t)) @ V
-    total = sum(abs(D_eig[0, j]) * np.exp(mu * j) for j in range(1, 11))
-    assert instantaneous_locality(H, flow, mu, t) == pytest.approx(total, rel=1e-10)
 
 
 def test_instantaneous_locality_scales_as_one_over_T():
@@ -403,5 +402,6 @@ def test_instantaneous_locality_scales_as_one_over_T():
         H = build_example_ramp(T)
         grid = TimeGrid.uniform(T, 201)
         flow = spectral_flow(H, grid)
-        vals[T] = instantaneous_locality(H, flow, mu, 0.5 * T)
+        report = condition_report(H, flow, certify(H, mu, grid))
+        vals[T] = report.energy_locality[100]  # t = T / 2
     assert vals[30.0] / vals[60.0] == pytest.approx(2.0, rel=0.05)

@@ -21,6 +21,7 @@ from lrlab.locality import (
 from lrlab.models import (
     ConstantHamiltonian,
     ExpLocalSpec,
+    TimeDependentHamiltonian,
     build_example_ramp,
     random_exp_local,
 )
@@ -31,6 +32,7 @@ from _oracles import (
     bisect_lambert,
     brute_a_mu,
     brute_probe_sum,
+    ensemble_params,
     probe_blocks,
     random_hermitian,
 )
@@ -324,6 +326,31 @@ def test_optimizer_below_envelope_optimum():
         _, v_env = optimal_mu_exp_local(1.0, mu_p)
         _, cert = optimize_mu_generic(H, grid, (0.05, mu_p * 0.999))
         assert cert.v_lr <= v_env * (1 + 1e-9)
+
+
+class SameMatrixAtEveryTime(TimeDependentHamiltonian):
+    """Constant in value only: the library evaluates it on the grid like
+    any time-dependent H."""
+
+    def __init__(self, M):
+        self.matrix = np.array(M, dtype=complex)
+        self.dimension = self.matrix.shape[0]
+
+    def evaluate(self, t):
+        return self.matrix.copy()
+
+
+def test_constant_optimizer_matches_the_grid_path():
+    """A ConstantHamiltonian's single-matrix load stack gives the same mu and
+    the same certificate samples as the evaluated grid stack."""
+    grid = TimeGrid.uniform(2.0, 201)
+    for seed, n, mu_prime in (ensemble_params(5)[0], ensemble_params(5)[4]):
+        M = random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed))
+        mu_range = (0.05, 0.999 * mu_prime)
+        mu, cert = optimize_mu_generic(ConstantHamiltonian(M), grid, mu_range)
+        mu_o, cert_o = optimize_mu_generic(SameMatrixAtEveryTime(M), grid, mu_range)
+        assert mu == mu_o
+        assert np.array_equal(cert.a_mu_samples, cert_o.a_mu_samples)
 
 
 def test_optimizer_unimodal_on_example_ramp():

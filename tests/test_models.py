@@ -203,3 +203,19 @@ def test_validated_matrices_are_read_only_copies():
         assert kept is not M
         with pytest.raises(ValueError):
             kept[0, 1] = 5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_matrices_rejected(bad):
+    """Every validated entry point refuses NaN and Inf entries, which the
+    Hermiticity comparisons alone would let through."""
+    M = np.array([[0.0, bad], [bad, 0.0]])
+    builders = (
+        ConstantHamiltonian,
+        lambda X: LinearInterpolationHamiltonian(X, np.eye(2), 1.0),
+        lambda X: LinearInterpolationHamiltonian(np.eye(2), X, 1.0),
+        pairwise_decompose,
+    )
+    for build in builders:
+        with pytest.raises(ValidationError):
+            build(M)

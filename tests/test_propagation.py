@@ -23,10 +23,7 @@ from lrlab.propagation import (
     _unitarity_defect,
     _unitary_steps,
     bound_audit,
-    commutator_norm,
-    evolve,
     evolve_on_grid,
-    heisenberg,
     lr_bound_rhs,
     propagator_spread,
 )
@@ -34,6 +31,8 @@ from lrlab.propagation import (
 from _oracles import (
     RK4_ORACLE_STEPS,
     apply_permutation,
+    commutator_norm,
+    heisenberg,
     random_hermitian,
     random_unitary,
     rk4_propagator,
@@ -45,14 +44,14 @@ from _oracles import (
 def ramp_prop():
     """Example ramp at T=100, converged to 1e-6 on a 101-point grid."""
     H = build_example_ramp(100.0)
-    return H, evolve(H, 100.0, tol=1e-6, grid_points=101)
+    return H, evolve_on_grid(H, TimeGrid.uniform(100.0, 101), 1e-6)
 
 
 def test_constant_hamiltonian_matches_direct_exponential():
     rng = np.random.default_rng(0)
     M = random_hermitian(rng, 6)
     H = ConstantHamiltonian(M)
-    prop = evolve(H, 2.0, tol=1e-9, grid_points=21)
+    prop = evolve_on_grid(H, TimeGrid.uniform(2.0, 21), 1e-9)
     for k in (5, 13, 20):
         t = prop.grid.points[k]
         direct = taylor_unitary_exp(-1j * t * M)
@@ -61,7 +60,7 @@ def test_constant_hamiltonian_matches_direct_exponential():
 
 def test_zero_hamiltonian_identity():
     H = ConstantHamiltonian(np.zeros((4, 4)))
-    prop = evolve(H, 3.0, tol=1e-10, grid_points=7)
+    prop = evolve_on_grid(H, TimeGrid.uniform(3.0, 7), 1e-10)
     for U in prop.unitaries:
         np.testing.assert_allclose(U, np.eye(4), atol=1e-14)
 
@@ -191,7 +190,8 @@ def test_composition_property(ramp_prop):
     slice_H = LinearInterpolationHamiltonian(
         H.evaluate(t1), H.evaluate(t2), t2 - t1
     )
-    U_mid = evolve(slice_H, t2 - t1, tol=1e-8, grid_points=31).unitaries[-1]
+    mid = evolve_on_grid(slice_H, TimeGrid.uniform(t2 - t1, 31), 1e-8)
+    U_mid = mid.unitaries[-1]
     assert operator_norm(U2 - U_mid @ U1) <= 20 * prop.tolerance
 
 
@@ -200,7 +200,7 @@ def test_nonconvergence_raises():
         np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]]), 0.1
     )
     with pytest.raises(IntegrationError) as err:
-        evolve(H, 0.1, tol=1e-25, grid_points=2)
+        evolve_on_grid(H, TimeGrid.uniform(0.1, 2), 1e-25)
     assert err.value.defect is not None
 
 
@@ -236,7 +236,7 @@ def test_heisenberg_norm_preservation():
 
 
 def test_heisenberg_shape_mismatch():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         heisenberg(np.eye(3), np.eye(4))
 
 
@@ -292,7 +292,7 @@ def test_spread_identity_at_t0(ramp_prop):
 
 def test_spread_constant_diagonal_stays_put():
     H = ConstantHamiltonian(np.diag([0.1, 0.5, 0.9]))
-    prop = evolve(H, 5.0, tol=1e-10, grid_points=11)
+    prop = evolve_on_grid(H, TimeGrid.uniform(5.0, 11), 1e-10)
     amps = propagator_spread(prop, 1)
     np.testing.assert_allclose(amps, np.tile(np.eye(3)[1], (11, 1)), atol=1e-12)
 
