@@ -198,21 +198,8 @@ def intertwining_defect(U_ad: Propagator, flow: SpectralFlow) -> float:
 def evolve_adiabatic(
     H: TimeDependentHamiltonian, flow: SpectralFlow, tol: float = 1e-9
 ) -> Propagator:
-    """Propagator generated by H_ad on the flow's grid.
-
-    Warns when the measured intertwining defect exceeds 10x the integration
-    tolerance, which signals insufficient grid resolution.
-    """
-    prop = evolve_on_grid(_AdiabaticGenerator(H, flow), flow.grid, tol)
-    defect = intertwining_defect(prop, flow)
-    if defect > 10.0 * tol:
-        warnings.warn(
-            f"intertwining defect {defect:.3e} exceeds 10 x tol={tol:.1e}; "
-            "consider a finer grid or tighter tolerance",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return prop
+    """Propagator generated by H_ad on the flow's grid."""
+    return evolve_on_grid(_AdiabaticGenerator(H, flow), flow.grid, tol)
 
 
 def adiabatic_error(U: Propagator, flow: SpectralFlow) -> float:
@@ -259,22 +246,32 @@ class AdiabaticRun:
 
 
 def run_adiabatic(
-    H: TimeDependentHamiltonian,
-    grid: TimeGrid,
-    tol: float = 1e-9,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    H: TimeDependentHamiltonian, grid: TimeGrid, tol: float = 1e-9
 ) -> AdiabaticRun:
-    flow = spectral_flow(H, grid, cluster_tol)
+    """Flow, U and U_ad on the grid, and the errors between them.
+
+    Warns when the measured intertwining defect exceeds 10x the integration
+    tolerance, which signals insufficient grid resolution.
+    """
+    flow = spectral_flow(H, grid)
     U = evolve_on_grid(H, grid, tol)
     U_ad = evolve_adiabatic(H, flow, tol)
     delta_t, delta_ad = wave_operator_errors(U, U_ad, flow)
+    defect = intertwining_defect(U_ad, flow)
+    if defect > 10.0 * tol:
+        warnings.warn(
+            f"intertwining defect {defect:.3e} exceeds 10 x tol={tol:.1e}; "
+            "consider a finer grid or tighter tolerance",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return AdiabaticRun(
         flow=flow,
         U=U,
         U_ad=U_ad,
         delta_t=delta_t,
         delta_ad_final=delta_ad,
-        intertwining_defect=intertwining_defect(U_ad, flow),
+        intertwining_defect=defect,
     )
 
 

@@ -49,7 +49,7 @@ class Block:
 def block_distance(a: Block, b: Block) -> int:
     """Minimum |j - i| over i in a, j in b; 0 iff the blocks share a label
     or touch at equal labels."""
-    # labels are sorted, so a two-pointer sweep suffices; sizes here are small
+    # compares all pairs, which is cheap for the small blocks used here
     return min(abs(j - i) for i in a.labels for j in b.labels)
 
 
@@ -75,7 +75,7 @@ class BlockDecomposition:
         return [(block, float(abs(entry))) for block, entry in self.terms]
 
 
-def _check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _check_hermitian(H: np.ndarray) -> np.ndarray:
     """A read-only complex copy of H, once checked square, finite and
     Hermitian, so that later writes to the caller's array cannot reach it."""
     H = np.array(H, dtype=complex)
@@ -86,7 +86,7 @@ def _check_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValidationError("matrix contains NaN or Inf entries")
     scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
     defect = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if defect > tol * scale:
+    if defect > HERMITICITY_TOL * scale:
         raise ValidationError(
             f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}"
         )

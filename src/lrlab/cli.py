@@ -32,6 +32,23 @@ EXIT_VIOLATION = 3
 DEFAULT_MU_RANGE = (0.05, 5.0)
 
 
+# Every flag of the front end; _SUBCOMMANDS, below the handlers, names the
+# ones each subcommand reads.  A flag that sets a config field has that
+# field as its dest, so _load_config finds the override by name.
+_FLAGS = {
+    "--config": dict(help="JSON config"),
+    "--out": dict(dest="output_dir", help="output directory"),
+    "--mu": dict(type=float),
+    "--threshold": dict(type=float),
+    "--grid": dict(dest="grid_points", type=int),
+    "--tol": dict(dest="integrator_tol", type=float),
+    "--fixed-basis": dict(action="store_true", default=None),
+    "--supp-a": dict(required=True, help="comma-separated labels, e.g. 0,1"),
+    "--supp-b": dict(required=True, help="comma-separated labels"),
+}
+_SPREAD_SOURCE = dict(default="0", help="the one source label")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lrlab",
@@ -39,34 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweeps for banded Hermitian matrix families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", type=str, default=None, help="JSON config")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--optimize", action="store_true")
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--fixed-basis", action="store_true")
-
-    for name, desc in (
-        ("decompose", "print block decomposition stats"),
-        ("locality", "emit a locality certificate as JSON"),
-        ("bound-check", "audit the commutator bound for two supports"),
-        ("spread", "propagator spread amplitudes (CSV + SVG)"),
-        ("adiabatic", "single total-time run summary (JSON)"),
-        ("fig1", "full sweep: CSV, per-run JSON, and SVG plots"),
-    ):
+    for name, (_, desc, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=desc)
-        common(p)
-        if name == "bound-check":
-            p.add_argument("--supp-a", type=str, required=True,
-                           help="comma-separated labels, e.g. 0,1")
-            p.add_argument("--supp-b", type=str, required=True)
-        if name == "spread":
-            p.add_argument("--supp-a", type=str, default="0",
-                           help="source label (first entry used)")
+        for flag in flags.split():
+            spread_source = (name, flag) == ("spread", "--supp-a")
+            p.add_argument(flag, **(_SPREAD_SOURCE if spread_source else _FLAGS[flag]))
     return parser
 
 
@@ -75,18 +69,10 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig.from_file(args.config)
     else:
         config = ExperimentConfig()
-    overrides = {
-        "output_dir": args.out,
-        "mu": args.mu,
-        "threshold": args.threshold,
-        "grid_points": args.grid,
-        "integrator_tol": args.tol,
-        "fixed_basis": True if args.fixed_basis else None,
-    }
+    fields = ExperimentConfig.__dataclass_fields__
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     # replace() re-runs __post_init__, which validates the overridden values
-    return dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None}
-    )
+    return dataclasses.replace(config, **overrides)
 
 
 def _parse_block(text: str) -> Block:
@@ -97,10 +83,17 @@ def _parse_block(text: str) -> Block:
     return Block(labels)
 
 
+def _first_run(config):
+    """The config's first total time T, H over [0, T] and its grid."""
+    T = config.T_values[0]
+    return T, config.build_hamiltonian(T), TimeGrid.uniform(T, config.grid_points)
+
+
 def _certificate_for(config, H, grid):
+    """A certificate at the config's mu, or, with no mu, at the optimal one."""
     if config.mu is not None:
-        return config.mu, certify(H, config.mu, grid)
-    return optimize_mu_generic(H, grid, DEFAULT_MU_RANGE)
+        return certify(H, config.mu, grid)
+    return optimize_mu_generic(H, grid, DEFAULT_MU_RANGE)[1]
 
 
 def _cmd_decompose(args) -> int:
@@ -122,17 +115,12 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_locality(args) -> int:
     config = _load_config(args)
-    T = config.T_values[0]
-    H = config.build_hamiltonian(T)
-    grid = TimeGrid.uniform(T, config.grid_points)
-    if args.optimize or config.mu is None:
-        mu, cert = optimize_mu_generic(H, grid, DEFAULT_MU_RANGE)
-    else:
-        mu, cert = config.mu, certify(H, config.mu, grid)
+    _, H, grid = _first_run(config)
+    cert = _certificate_for(config, H, grid)
     payload = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
     print(payload)
-    if args.out is not None:
-        out = Path(args.out)
+    if args.output_dir is not None:
+        out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "locality.json").write_text(payload + "\n")
     return EXIT_OK
@@ -142,16 +130,14 @@ def _cmd_bound_check(args) -> int:
     config = _load_config(args)
     supp_a = _parse_block(args.supp_a)
     supp_b = _parse_block(args.supp_b)
-    T = config.T_values[0]
-    H = config.build_hamiltonian(T)
-    grid = TimeGrid.uniform(T, config.grid_points)
-    _, cert = _certificate_for(config, H, grid)
-    tol = args.tol if args.tol is not None else 1e-11
-    report = bound_audit(H, supp_a, supp_b, cert, integrator_tol=tol)
+    _, H, grid = _first_run(config)
+    cert = _certificate_for(config, H, grid)
+    tol = args.integrator_tol if args.integrator_tol is not None else 1e-11
+    report = bound_audit(H, supp_a, supp_b, cert, evolve_on_grid(H, grid, tol))
     summary = report.to_json_summary()
     print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.out is not None:
-        out = Path(args.out)
+    if args.output_dir is not None:
+        out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         report.to_csv(out / "bound_check.csv")
         (out / "bound_check.json").write_text(
@@ -162,13 +148,14 @@ def _cmd_bound_check(args) -> int:
 
 def _cmd_spread(args) -> int:
     config = _load_config(args)
-    source = _parse_block(args.supp_a).labels[0]
-    T = config.T_values[0]
-    H = config.build_hamiltonian(T)
-    grid = TimeGrid.uniform(T, config.grid_points)
+    block = _parse_block(args.supp_a)
+    if block.size != 1:
+        raise ValidationError(f"spread takes one source label, got {args.supp_a!r}")
+    (source,) = block.labels
+    T, H, grid = _first_run(config)
     prop = evolve_on_grid(H, grid, config.integrator_tol)
     amps = propagator_spread(prop, source)
-    out = Path(args.out if args.out is not None else config.output_dir)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "spread.csv"
     with open(csv_path, "w") as fh:
@@ -191,11 +178,9 @@ def _cmd_spread(args) -> int:
 
 def _cmd_adiabatic(args) -> int:
     config = _load_config(args)
-    T = config.T_values[0]
-    H = config.build_hamiltonian(T)
-    grid = TimeGrid.uniform(T, config.grid_points)
+    T, H, grid = _first_run(config)
     run = run_adiabatic(H, grid, tol=config.integrator_tol)
-    _, cert = _certificate_for(config, H, grid)
+    cert = _certificate_for(config, H, grid)
     report = condition_report(H, run.flow, cert)
     summary = {
         "T": T,
@@ -206,8 +191,8 @@ def _cmd_adiabatic(args) -> int:
     }
     payload = json.dumps(summary, indent=2, sort_keys=True)
     print(payload)
-    if args.out is not None:
-        out = Path(args.out)
+    if args.output_dir is not None:
+        out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "adiabatic.json").write_text(payload + "\n")
     return EXIT_OK
@@ -228,13 +213,34 @@ def _cmd_fig1(args) -> int:
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-_COMMANDS = {
-    "decompose": _cmd_decompose,
-    "locality": _cmd_locality,
-    "bound-check": _cmd_bound_check,
-    "spread": _cmd_spread,
-    "adiabatic": _cmd_adiabatic,
-    "fig1": _cmd_fig1,
+# Each subcommand: its handler, its help, and exactly the flags it reads.
+_SUBCOMMANDS = {
+    "decompose": (_cmd_decompose, "print block decomposition stats", "--config"),
+    "locality": (
+        _cmd_locality,
+        "emit a locality certificate as JSON",
+        "--config --out --mu --grid",
+    ),
+    "bound-check": (
+        _cmd_bound_check,
+        "audit the commutator bound for two supports",
+        "--config --out --mu --grid --tol --supp-a --supp-b",
+    ),
+    "spread": (
+        _cmd_spread,
+        "propagator spread amplitudes (CSV + SVG)",
+        "--config --out --grid --tol --supp-a",
+    ),
+    "adiabatic": (
+        _cmd_adiabatic,
+        "single total-time run summary (JSON)",
+        "--config --out --mu --grid --tol",
+    ),
+    "fig1": (
+        _cmd_fig1,
+        "full sweep: CSV, per-run JSON, and SVG plots",
+        "--config --out --threshold --grid --tol --fixed-basis",
+    ),
 }
 
 
@@ -246,7 +252,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; report bad usage as exit 1
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

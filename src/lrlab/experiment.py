@@ -158,11 +158,12 @@ def empirical_v_lr(
     threshold: float,
     grid: TimeGrid,
     fixed_basis: bool = False,
-    tol: float = 1e-9,
-    flow: SpectralFlow | None = None,
-    propagator: Propagator | None = None,
+    *,
+    flow: SpectralFlow,
+    propagator: Propagator,
 ) -> EmpiricalSpeed:
-    """LR speed from amplitude threshold crossings.
+    """LR speed from amplitude threshold crossings, read off the flow's
+    eigenframes and the propagator, both on the grid.
 
     For each level k >= 1 the first grid time where the eigenbasis amplitude
     from the initial ground state exceeds the threshold is located; the
@@ -172,8 +173,6 @@ def empirical_v_lr(
     """
     if threshold <= 0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
-    if flow is None:
-        flow = spectral_flow(H, grid)
     if flow.ground_dim != 1:
         raise ValidationError(
             "crossing analysis needs a nondegenerate ground state"
@@ -184,8 +183,6 @@ def empirical_v_lr(
             "spectrum is degenerate along the path; crossing times are "
             "not well-defined"
         )
-    if propagator is None:
-        propagator = evolve_on_grid(H, grid, tol)
 
     g0 = flow.basis[0][:, 0]
     states = propagator.unitaries @ g0  # (times, dim)

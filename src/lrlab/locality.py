@@ -28,6 +28,10 @@ from .numerics import TimeGrid, lambert_w, time_average
 # guards the exact equality case (a certificate audited against its own H)
 # against FP noise
 _LOAD_RTOL = 1e-12
+# optimize_mu_generic: points of the unimodality pre-scan, and the relative
+# width at which the golden-section bracket stops
+_SCAN_POINTS = 100
+_GOLDEN_RTOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -180,8 +184,6 @@ def optimize_mu_generic(
     H: TimeDependentHamiltonian,
     grid: TimeGrid,
     mu_range: tuple[float, float],
-    scan_points: int = 100,
-    rel_tol: float = 1e-6,
 ) -> tuple[float, LocalityCertificate]:
     """Minimize v_lr(mu) over [lo, hi] by golden-section search.
 
@@ -204,7 +206,7 @@ def optimize_mu_generic(
             samples = np.broadcast_to(loads, grid.points.shape)
             return time_average(samples, grid) / mu
 
-    scan_mus = np.linspace(lo, hi, scan_points)
+    scan_mus = np.linspace(lo, hi, _SCAN_POINTS)
     scan_vals = np.array([v_of_mu(m) for m in scan_mus])
     if not np.all(np.isfinite(scan_vals)):
         raise NumericalError(
@@ -222,11 +224,11 @@ def optimize_mu_generic(
 
     k = int(np.argmin(scan_vals))
     a = scan_mus[max(k - 1, 0)]
-    b = scan_mus[min(k + 1, scan_points - 1)]
+    b = scan_mus[min(k + 1, _SCAN_POINTS - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = v_of_mu(c), v_of_mu(d)
-    while (b - a) > rel_tol * max(1.0, abs(b)):
+    while (b - a) > _GOLDEN_RTOL * max(1.0, abs(b)):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -39,25 +39,6 @@ class TimeGrid:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid point within a relative 1e-9 of t."""
-        k = int(np.searchsorted(self.points, t))
-        tol = 1e-9 * max(1.0, abs(t))
-        for cand in (k - 1, k, k + 1):
-            if 0 <= cand < len(self) and abs(self.points[cand] - t) <= tol:
-                return cand
-        raise ValidationError(f"t={t} is not a point of this time grid")
-
-
-def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value of M."""
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise ValidationError(f"expected a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
-        raise ValidationError("matrix contains NaN or Inf entries")
-    return float(np.linalg.norm(M, 2))
-
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (n, rows, cols) stack."""

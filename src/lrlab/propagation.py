@@ -57,6 +57,8 @@ _POLAR_EVERY = 256
 _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
 _GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
 _COMMUTATOR_COEF = np.sqrt(3.0) / 12.0
+# an audit margin below -VIOLATION_THRESHOLD is a violation of the bound
+VIOLATION_THRESHOLD = 1e-9
 
 
 @dataclass(eq=False)
@@ -75,9 +77,6 @@ class Propagator:
     def dimension(self) -> int:
         return int(self.unitaries.shape[-1])
 
-    def at(self, t: float) -> np.ndarray:
-        return self.unitaries[self.grid.index_of(t)]
-
 
 def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Batched exp(-i h H) for stacked Hermitian matrices."""
@@ -88,17 +87,10 @@ def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
 def _compose(steps: np.ndarray) -> np.ndarray:
     """Ordered product steps[-1] @ ... @ steps[0] for stacks shaped
-    (..., m, d, d), by pairwise tree reduction along the m axis."""
+    (..., m, d, d), by pairwise tree reduction along the m axis.  m must be
+    a power of two, as every substep count of the halving loop is."""
     while steps.shape[-3] > 1:
-        m = steps.shape[-3]
-        if m % 2:
-            head = steps[..., :1, :, :]
-            rest = steps[..., 1:, :, :]
-            paired = rest[..., 1::2, :, :] @ rest[..., 0::2, :, :]
-            first = paired[..., :1, :, :] @ head
-            steps = np.concatenate([first, paired[..., 1:, :, :]], axis=-3)
-        else:
-            steps = steps[..., 1::2, :, :] @ steps[..., 0::2, :, :]
+        steps = steps[..., 1::2, :, :] @ steps[..., 0::2, :, :]
     return steps[..., 0, :, :]
 
 
@@ -276,10 +268,6 @@ class AuditReport:
     lhs: np.ndarray
     rhs: np.ndarray
     margin: np.ndarray  # rhs - lhs
-    violation_threshold: float
-    integrator_tol: float
-    supp_a: Block
-    supp_b: Block
     # grid indices where the certificate's a_mu lies below H's locality load
     understated: np.ndarray
 
@@ -287,7 +275,7 @@ class AuditReport:
     def violations(self) -> np.ndarray:
         """Grid indices with a negative margin or an understated a_mu."""
         return np.union1d(
-            np.nonzero(self.margin < -self.violation_threshold)[0], self.understated
+            np.nonzero(self.margin < -VIOLATION_THRESHOLD)[0], self.understated
         )
 
     @property
@@ -308,7 +296,7 @@ class AuditReport:
         return {
             "violations": int(self.violations.size),
             "min_margin": self.min_margin,
-            "tol": self.violation_threshold,
+            "tol": VIOLATION_THRESHOLD,
         }
 
 
@@ -323,22 +311,21 @@ def bound_audit(
     supp_a: Block,
     supp_b: Block,
     certificate: LocalityCertificate,
-    propagator: Propagator | None = None,
-    integrator_tol: float = 1e-11,
-    violation_threshold: float = 1e-9,
+    propagator: Propagator,
 ) -> AuditReport:
     """Measure || [A^t, B] || for projectors A, B on the supports and compare
     against the certified bound at every grid point of the certificate.
 
-    The commutator norm is read from the propagator as
-    ||U[A, B] U[A^c, B]^dag||: [Q, P] = QP(1 - Q) - (1 - Q)PQ for
-    Q = U^dag A U and P = B splits into two mutually adjoint off-diagonal
-    blocks of norm ||QP(1 - Q)||.  The identity assumes U unitary; otherwise
-    it is off by O(propagator.unitarity_defect).
+    The commutator norm is read from the propagator, which must sit on the
+    certificate's grid, as ||U[A, B] U[A^c, B]^dag||: [Q, P] =
+    QP(1 - Q) - (1 - Q)PQ for Q = U^dag A U and P = B splits into two
+    mutually adjoint off-diagonal blocks of norm ||QP(1 - Q)||.  The
+    identity assumes U unitary; otherwise it is off by
+    O(propagator.unitarity_defect).
 
     The bound at time t uses the running average of a_mu up to t, i.e.
     exp(integral of a_mu over [0, t]) - 1.  A margin below
-    -violation_threshold flags a violation: either an implementation bug or
+    -VIOLATION_THRESHOLD flags a violation: either an implementation bug or
     an invalid certificate, since the bound is a theorem for valid ones.
 
     The theorem's hypothesis is checked too: H's locality load
@@ -349,16 +336,14 @@ def bound_audit(
     since the bound is proved only under that hypothesis.  The distance
     d(A, B) in the bound is measured in that basis too.
     """
-    if set(supp_a.labels) & set(supp_b.labels):
+    if supp_a.intersects(supp_b):
         raise ValidationError("audit supports must be disjoint")
     d = H.dimension
     if supp_a.labels[-1] >= d or supp_b.labels[-1] >= d:
         raise ValidationError("support labels exceed the Hamiltonian dimension")
 
     grid = certificate.grid
-    if propagator is None:
-        propagator = evolve_on_grid(H, grid, integrator_tol)
-    elif not np.array_equal(propagator.grid.points, grid.points):
+    if not np.array_equal(propagator.grid.points, grid.points):
         raise ValidationError("propagator grid does not match the certificate")
 
     a, b = np.asarray(supp_a.labels), np.asarray(supp_b.labels)
@@ -385,9 +370,5 @@ def bound_audit(
         lhs=lhs,
         rhs=rhs,
         margin=rhs - lhs,
-        violation_threshold=violation_threshold,
-        integrator_tol=propagator.tolerance,
-        supp_a=supp_a,
-        supp_b=supp_b,
         understated=understated,
     )

@@ -55,6 +55,11 @@ def rk4_propagator(H, t_final, n_steps, chunk=4096):
     return U
 
 
+def operator_norm(M):
+    """Largest singular value of a matrix."""
+    return float(np.linalg.norm(np.asarray(M), 2))
+
+
 def heisenberg(A, U):
     """Heisenberg-picture operator U^dag A U; numpy refuses mismatched
     shapes with a ValueError."""

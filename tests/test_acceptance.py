@@ -39,7 +39,7 @@ from lrlab.models import (
     build_example_ramp,
     random_exp_local,
 )
-from lrlab.numerics import TimeGrid, lambert_w, operator_norm, operator_norms
+from lrlab.numerics import TimeGrid, lambert_w, operator_norms
 from lrlab.propagation import (
     _unitary_steps,
     bound_audit,
@@ -51,6 +51,7 @@ from _oracles import (
     RK4_ORACLE_STEPS,
     brute_probe_sum,
     ensemble_params,
+    operator_norm,
     probe_blocks,
     random_anti_hermitian,
     rk4_propagator,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrlab import adiabatic
 from lrlab.adiabatic import (
     MIN_DERIVATIVE_GAP,
     adiabatic_error,
@@ -19,10 +20,10 @@ from lrlab.models import (
     LinearInterpolationHamiltonian,
     build_example_ramp,
 )
-from lrlab.numerics import TimeGrid, operator_norm, operator_norms
+from lrlab.numerics import TimeGrid, operator_norms
 from lrlab.propagation import evolve_on_grid
 
-from _oracles import random_hermitian
+from _oracles import operator_norm, random_hermitian
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,15 @@ def test_run_invariants(ramp_run):
     _, run = ramp_run
     assert 0.0 <= run.delta_ad_final <= 1.0
     assert run.intertwining_defect <= 10 * run.U_ad.tolerance
+
+
+def test_run_warns_on_a_large_intertwining_defect(monkeypatch):
+    """run_adiabatic measures the defect once and warns above 10 x tol."""
+    monkeypatch.setattr(adiabatic, "intertwining_defect", lambda U_ad, flow: 1.0)
+    H = ConstantHamiltonian(random_hermitian(np.random.default_rng(3), 4))
+    with pytest.warns(RuntimeWarning, match="intertwining defect 1.000e"):
+        run = run_adiabatic(H, TimeGrid.uniform(1.0, 11), tol=1e-9)
+    assert run.intertwining_defect == 1.0
 
 
 def test_slower_driving_reduces_error():

@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from lrlab.cli import main
+from lrlab.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -57,7 +60,6 @@ def test_locality_optimize_writes_file(small_cfg_file, tmp_path, capsys):
             "locality",
             "--config",
             str(small_cfg_file),
-            "--optimize",
             "--grid",
             "51",
             "--out",
@@ -194,7 +196,7 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
 
 
 def test_flag_overrides_are_validated(small_cfg_file, tmp_path, capsys):
-    assert main(["decompose", "--config", str(small_cfg_file), "--grid", "1"]) == 1
+    assert main(["locality", "--config", str(small_cfg_file), "--grid", "1"]) == 1
     assert "grid_points" in capsys.readouterr().err
     # seeds are not part of the config: nothing in lrlab draws random numbers
     assert main(["decompose", "--config", str(small_cfg_file), "--seed", "3"]) == 1
@@ -202,3 +204,55 @@ def test_flag_overrides_are_validated(small_cfg_file, tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": 0}))
     assert main(["decompose", "--config", str(cfg)]) == 1
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_spread_takes_one_source_label(small_cfg_file, tmp_path, capsys):
+    """Block sorts its labels, so a list would silently pick its smallest."""
+    argv = ["spread", "--config", str(small_cfg_file), "--grid", "11"]
+    code = main(argv + ["--supp-a", "5,2", "--out", str(tmp_path / "spread")])
+    assert code == 1
+    assert "one source label" in capsys.readouterr().err
+
+
+_OPTIMIZE_CASES = [
+    ["decompose"],
+    ["locality"],
+    ["bound-check", "--supp-a", "0", "--supp-b", "5"],
+    ["spread"],
+    ["adiabatic"],
+    ["fig1"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--mu", "0.5"],
+        ["fig1", "--mu", "0.5"],
+        ["locality", "--tol", "1e-9"],
+    ]
+    + [case + ["--optimize"] for case in _OPTIMIZE_CASES],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unread_flag_is_usage_error(small_cfg_file, argv, capsys):
+    """A subcommand refuses a flag it would not read."""
+    assert main(argv[:1] + ["--config", str(small_cfg_file)] + argv[1:]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_lists_the_flags_each_subcommand_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {
+        m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
+        for m in re.finditer(r"^\| `lrlab ([a-z0-9-]+)` +\|(.*)\|$", readme, re.M)
+    }
+    (sub,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    accepted = {
+        name: {flag for action in p._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == accepted
+    assert sum(len(flags) for flags in accepted.values()) == 28

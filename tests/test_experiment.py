@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lrlab.adiabatic import spectral_flow
 from lrlab.errors import InsufficientCrossingsError, ValidationError
 from lrlab.experiment import (
     ExperimentConfig,
@@ -13,6 +14,7 @@ from lrlab.experiment import (
 )
 from lrlab.models import ConstantHamiltonian, build_example_ramp
 from lrlab.numerics import TimeGrid
+from lrlab.propagation import evolve_on_grid
 
 
 # -- config ---------------------------------------------------------------
@@ -93,11 +95,20 @@ def test_build_hamiltonian_variants():
 # -- empirical speed --------------------------------------------------------
 
 
+def crossing_speed(H, T, grid, tol, fixed_basis=False):
+    """empirical_v_lr at threshold 6e-4 on a fresh flow and propagator."""
+    flow = spectral_flow(H, grid)
+    prop = evolve_on_grid(H, grid, tol)
+    return empirical_v_lr(
+        H, T, 6e-4, grid, fixed_basis=fixed_basis, flow=flow, propagator=prop
+    )
+
+
 def test_constant_diagonal_never_crosses():
     H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2, 0.3]))
     grid = TimeGrid.uniform(5.0, 101)
     with pytest.raises(InsufficientCrossingsError) as err:
-        empirical_v_lr(H, 5.0, 6e-4, grid, tol=1e-9)
+        crossing_speed(H, 5.0, grid, 1e-9)
     assert err.value.crossings == {}
 
 
@@ -105,7 +116,7 @@ def test_crossing_times_monotone_in_level():
     T = 25.0
     H = build_example_ramp(T)
     grid = TimeGrid.uniform(T, 801)
-    emp = empirical_v_lr(H, T, 6e-4, grid, tol=1e-8)
+    emp = crossing_speed(H, T, grid, 1e-8)
     ks = sorted(emp.crossing_times)
     times = [emp.crossing_times[k] for k in ks]
     assert all(a < b for a, b in zip(times, times[1:]))
@@ -120,9 +131,6 @@ def test_crossing_interpolation_consistency():
     threshold = 6e-4
     H = build_example_ramp(T)
     grid = TimeGrid.uniform(T, 801)
-    from lrlab.adiabatic import spectral_flow
-    from lrlab.propagation import evolve_on_grid
-
     flow = spectral_flow(H, grid)
     prop = evolve_on_grid(H, grid, 1e-8)
     emp = empirical_v_lr(H, T, threshold, grid, flow=flow, propagator=prop)
@@ -142,7 +150,7 @@ def test_speed_decreases_with_total_time():
     for T in (12.5, 25.0):
         H = build_example_ramp(T)
         grid = TimeGrid.uniform(T, 801)
-        speeds[T] = empirical_v_lr(H, T, 6e-4, grid, tol=1e-8).v_lr
+        speeds[T] = crossing_speed(H, T, grid, 1e-8).v_lr
     assert speeds[25.0] < speeds[12.5]
 
 
@@ -150,8 +158,8 @@ def test_fixed_basis_variant_differs():
     T = 12.5
     H = build_example_ramp(T)
     grid = TimeGrid.uniform(T, 801)
-    moving = empirical_v_lr(H, T, 6e-4, grid, tol=1e-8)
-    fixed = empirical_v_lr(H, T, 6e-4, grid, fixed_basis=True, tol=1e-8)
+    moving = crossing_speed(H, T, grid, 1e-8)
+    fixed = crossing_speed(H, T, grid, 1e-8, fixed_basis=True)
     assert moving.v_lr != fixed.v_lr
 
 

@@ -11,9 +11,7 @@ from lrlab.models import (
     build_example_ramp,
     random_exp_local,
 )
-from lrlab.numerics import operator_norm
-
-from _oracles import random_hermitian
+from _oracles import operator_norm, random_hermitian
 
 
 def test_example_ramp_at_start():

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from lrlab.adiabatic import spectral_flow
 from lrlab.errors import ValidationError
 from lrlab.models import ConstantHamiltonian
-from lrlab.numerics import TimeGrid, lambert_w, operator_norm, time_average
+from lrlab.numerics import TimeGrid, lambert_w, operator_norms, time_average
 from lrlab.propagation import _unitary_steps
 
 from _oracles import (
     bisect_lambert,
+    operator_norm,
     random_anti_hermitian,
     random_hermitian,
     random_unitary,
@@ -39,7 +40,7 @@ def test_grid_uniform():
     assert len(g) == 5
 
 
-# -- operator_norm ------------------------------------------------------
+# -- operator_norm (the tests' oracle) and operator_norms ---------------
 
 
 def test_operator_norm_identity():
@@ -74,13 +75,13 @@ def test_operator_norm_oracles():
 
 
 def test_operator_norm_rejects_nonfinite():
-    M = np.eye(3)
-    M[0, 1] = np.nan
+    M = np.eye(3)[None].copy()
+    M[0, 0, 1] = np.nan
     with pytest.raises(ValidationError):
-        operator_norm(M)
-    M[0, 1] = np.inf
+        operator_norms(M)
+    M[0, 0, 1] = np.inf
     with pytest.raises(ValidationError):
-        operator_norm(M)
+        operator_norms(M)
 
 
 def test_operator_norm_unitary_invariance():

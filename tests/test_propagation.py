@@ -14,7 +14,7 @@ from lrlab.models import (
     build_example_ramp,
     random_exp_local,
 )
-from lrlab.numerics import TimeGrid, operator_norm, operator_norms
+from lrlab.numerics import TimeGrid, operator_norms
 from lrlab.propagation import (
     Propagator,
     _checkpoints_fixed,
@@ -33,6 +33,7 @@ from _oracles import (
     apply_permutation,
     commutator_norm,
     heisenberg,
+    operator_norm,
     random_hermitian,
     random_unitary,
     rk4_propagator,
@@ -185,8 +186,8 @@ def test_composition_property(ramp_prop):
     """U(t2,0) = U(t2,t1) U(t1,0), with the middle leg integrated on its own
     shifted schedule."""
     H, prop = ramp_prop
-    t1, t2 = 40.0, 70.0
-    U1, U2 = prop.at(t1), prop.at(t2)
+    t1, t2 = 40.0, 70.0  # grid points 40 and 70
+    U1, U2 = prop.unitaries[40], prop.unitaries[70]
     slice_H = LinearInterpolationHamiltonian(
         H.evaluate(t1), H.evaluate(t2), t2 - t1
     )
@@ -202,16 +203,6 @@ def test_nonconvergence_raises():
     with pytest.raises(IntegrationError) as err:
         evolve_on_grid(H, TimeGrid.uniform(0.1, 2), 1e-25)
     assert err.value.defect is not None
-
-
-def test_checkpoint_lookup(ramp_prop):
-    _, prop = ramp_prop
-    assert prop.grid.index_of(0.0) == 0
-    assert prop.grid.index_of(100.0) == len(prop.grid) - 1
-    assert prop.grid.index_of(37.0 + 1e-12) == 37
-    assert np.array_equal(prop.at(100.0), prop.unitaries[-1])
-    with pytest.raises(ValidationError):
-        prop.at(33.333)
 
 
 # -- heisenberg / commutator ------------------------------------------------
@@ -337,7 +328,8 @@ def test_audit_example_ramp_no_violations():
     H = build_example_ramp(T)
     grid = TimeGrid.uniform(T, 401)
     cert = certify(H, 0.5, grid)
-    report = bound_audit(H, Block([0]), Block([5]), cert, integrator_tol=1e-10)
+    prop = evolve_on_grid(H, grid, 1e-10)
+    report = bound_audit(H, Block([0]), Block([5]), cert, prop)
     assert not report.has_violations
     assert report.min_margin >= -1e-9
     assert report.lhs[0] == pytest.approx(0.0, abs=1e-12)
@@ -360,7 +352,9 @@ def test_audit_flags_grossly_understated_certificate():
         v_lr_max=cert.v_lr_max / 500.0,
         basis_permutation=cert.basis_permutation,
     )
-    report = bound_audit(H, Block([2]), Block([4]), weak, integrator_tol=1e-10)
+    report = bound_audit(
+        H, Block([2]), Block([4]), weak, evolve_on_grid(H, grid, 1e-10)
+    )
     assert report.has_violations
     assert report.min_margin < -1e-9
 
@@ -378,7 +372,7 @@ def test_audit_checks_the_locality_hypothesis():
     samples = cert.a_mu_samples.copy()
     samples[200] *= 0.99
     dipped = dataclasses.replace(cert, a_mu_samples=samples)
-    report = bound_audit(H, A, B, dipped, integrator_tol=1e-10)
+    report = bound_audit(H, A, B, dipped, evolve_on_grid(H, grid, 1e-10))
     assert report.margin[1:].min() > 0.0
     assert report.violations.tolist() == [200]
     assert report.to_json_summary()["violations"] == 1
@@ -391,7 +385,7 @@ def test_audit_checks_the_locality_hypothesis():
     H = ConstantHamiltonian(apply_permutation(M, swap))
     cert = certify(H, 0.5, grid, permutation=swap)
     assert certify(H, 0.5, grid).a_mu_max > 2.0 * cert.a_mu_max
-    report = bound_audit(H, A, B, cert, integrator_tol=1e-10)
+    report = bound_audit(H, A, B, cert, evolve_on_grid(H, grid, 1e-10))
     assert not report.has_violations
 
 
@@ -471,7 +465,8 @@ def test_audit_rhs_is_lr_bound_rhs_in_the_certified_basis():
     H = ConstantHamiltonian(apply_permutation(M, swap))
     grid = TimeGrid.uniform(2.0, 101)
     cert = certify(H, 0.5, grid, permutation=swap)
-    report = bound_audit(H, Block([0]), Block([7]), cert, integrator_tol=1e-10)
+    prop = evolve_on_grid(H, grid, 1e-10)
+    report = bound_audit(H, Block([0]), Block([7]), cert, prop)
     a, t = cert.a_mu_samples, grid.points
     growth = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(t))])
     # level 0 sits at label 9, two labels from level 7
@@ -482,18 +477,20 @@ def test_audit_rhs_is_lr_bound_rhs_in_the_certified_basis():
 
 def test_audit_identical_supports_rejected():
     H = build_example_ramp(5.0)
-    cert = certify(H, 0.5, TimeGrid.uniform(5.0, 11))
+    grid = TimeGrid.uniform(5.0, 11)
+    cert = certify(H, 0.5, grid)
+    prop = evolve_on_grid(H, grid)
     with pytest.raises(ValidationError):
-        bound_audit(H, Block([2]), Block([2]), cert)
+        bound_audit(H, Block([2]), Block([2]), cert, prop)
     with pytest.raises(ValidationError):
-        bound_audit(H, Block([1, 2]), Block([2, 3]), cert)
+        bound_audit(H, Block([1, 2]), Block([2, 3]), cert, prop)
 
 
 def test_audit_report_serialization(tmp_path):
     H = build_example_ramp(5.0)
     grid = TimeGrid.uniform(5.0, 51)
     cert = certify(H, 0.5, grid)
-    report = bound_audit(H, Block([0]), Block([4]), cert, integrator_tol=1e-9)
+    report = bound_audit(H, Block([0]), Block([4]), cert, evolve_on_grid(H, grid))
     csv_path = tmp_path / "audit.csv"
     report.to_csv(csv_path)
     lines = csv_path.read_text().splitlines()
