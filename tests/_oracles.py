@@ -29,6 +29,14 @@ def taylor_unitary_exp(A, terms=30, squarings=20):
     return out.astype(complex)
 
 
+def eigh_unitary_exp(mats, hs):
+    """Batched exp(-i h M) for stacked Hermitian M as V e^(-i h w) V^dag,
+    from one eigh of each M = V diag(w) V^dag."""
+    vals, vecs = np.linalg.eigh(mats)
+    phases = np.exp(-1j * np.asarray(hs)[:, None] * vals)
+    return (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+
+
 # RK4 step count for the oracle of the bundled ramp at T=100: there it is
 # within 1.5e-12 of RK4 at half the step.  Fixed on its own, so the oracle
 # does not coarsen when the integrator under test takes fewer steps.
