@@ -13,6 +13,11 @@ Gdot is computed from first-order perturbation theory,
 which is exact for an isolated cluster and avoids finite-difference noise.
 On the grid, R = Gdot's excited-ground block is read off the flow's
 eigenframes; h_ad diagonalizes H itself, at times off the grid too.
+
+The eigenframes are eigh's as they come: each column is fixed only up to a
+phase, and the ground cluster's columns only up to a unitary rotation inside
+the cluster.  Everything read from them is invariant under both: moduli of
+amplitudes, projectors, operator and row norms of R.
 """
 
 from __future__ import annotations
@@ -43,7 +48,9 @@ class SpectralFlow:
 
     grid: TimeGrid
     eigenvalues: np.ndarray  # (times, dim), ascending
-    basis: np.ndarray  # (times, dim, dim), eigenvector columns, phase-fixed
+    # (times, dim, dim), eigh's eigenvector columns: each fixed only up to a
+    # phase, and the ground columns up to a rotation inside the cluster
+    basis: np.ndarray
     ground_projector: np.ndarray  # (times, dim, dim)
     gap: np.ndarray  # (times,)
     gap_min: float
@@ -67,30 +74,6 @@ def _cluster_gap(
     return vals[:, gdim] - vals[:, gdim - 1]
 
 
-def _fix_phases(basis: np.ndarray) -> np.ndarray:
-    """Make eigenvector frames continuous along the time axis.
-
-    First frame: largest-magnitude component of each column made real
-    positive.  Later frames: each column rotated so its overlap with the
-    same column at the previous time is real positive.
-    """
-    out = basis.copy()
-    first = out[0]
-    for k in range(first.shape[1]):
-        j = int(np.argmax(np.abs(first[:, k])))
-        z = first[j, k]
-        if abs(z) > 0:
-            first[:, k] *= np.conj(z) / abs(z)
-    for n in range(1, out.shape[0]):
-        overlaps = np.sum(out[n - 1].conj() * out[n], axis=0)
-        mags = np.abs(overlaps)
-        safe = mags > 1e-12
-        phase = np.ones_like(overlaps)
-        phase[safe] = np.conj(overlaps[safe]) / mags[safe]
-        out[n] *= phase[None, :]
-    return out
-
-
 def spectral_flow(
     H: TimeDependentHamiltonian,
     grid: TimeGrid,
@@ -108,13 +91,12 @@ def spectral_flow(
         raise GapClosureError("the ground cluster spans the whole spectrum")
     gap = _cluster_gap(vals, grid.points, gdim, cluster_tol)
 
-    basis = _fix_phases(vecs)
-    ground = basis[:, :, :gdim]
+    ground = vecs[:, :, :gdim]
     projector = ground @ ground.conj().transpose(0, 2, 1)
     return SpectralFlow(
         grid=grid,
         eigenvalues=vals,
-        basis=basis,
+        basis=vecs,
         ground_projector=projector,
         gap=gap,
         gap_min=float(gap.min()),
@@ -203,24 +185,21 @@ def evolve_adiabatic(
 
 
 def adiabatic_error(U: Propagator, flow: SpectralFlow) -> float:
-    """Final ground-space leakage delta_ad of the exact evolution.
+    """Final ground-space leakage of the exact evolution,
 
-    Nondegenerate ground state: 1 - |<psi(T)| G(T) |psi(T)>| with
-    |psi(T)> = U(T,0) |ground(0)>.  For a degenerate cluster the evolved
-    maximally mixed ground state is used: 1 - tr[G(T) rho(T)].
+        delta_ad = ||(1 - G(T)) U(T, 0) V_G(0)||_F^2 / |G|,
+
+    with V_G(0) the flow's ground columns at t = 0: the weight the evolved,
+    maximally mixed initial ground state leaves outside G(T).  For |G| = 1
+    it is 1 - <psi(T)| G(T) |psi(T)> with |psi(T)> = U(T, 0) |ground(0)>,
+    but is summed from the leaked components rather than subtracted from 1.
+    It is invariant under any rotation of V_G(0) inside the cluster.
     """
     if not np.array_equal(U.grid.points, flow.grid.points):
         raise ValidationError("propagator and flow grids do not align")
-    UT = U.unitaries[-1]
-    GT = flow.ground_projector[-1]
-    gdim = flow.ground_dim
-    if gdim == 1:
-        psi = UT @ flow.basis[0][:, 0]
-        overlap = np.real(np.vdot(psi, GT @ psi))
-        return float(1.0 - abs(overlap))
-    rho0 = flow.ground_projector[0] / gdim
-    rhoT = UT @ rho0 @ UT.conj().T
-    return float(1.0 - np.real(np.trace(GT @ rhoT)))
+    evolved = U.unitaries[-1] @ flow.basis[0][:, : flow.ground_dim]
+    leaked = evolved - flow.ground_projector[-1] @ evolved
+    return float(np.sum(np.abs(leaked) ** 2) / flow.ground_dim)
 
 
 def wave_operator_errors(
@@ -282,13 +261,13 @@ class ConditionReport:
     hdiff_gap_ratio: float  # max ||H - H_ad|| / gap_min
     hdot_gap_ratio: float  # max ||Hdot|| / gap_min^2
     vlr_gap_ratio: float  # (a_mu_max / mu) / gap_min
-    chain_block_term: float  # max_t blockSum / (mu |G| gap_min)
+    chain_block_term: float  # max_t block_sums / (mu |G| gap_min)
     chain_norm_term: float  # max_t ||H - H_ad|| / (mu |G| gap_min)
     epsilon_scale: float  # |G| mu; converts the chain scale to the plain one
     hdiff_norms: np.ndarray  # per-time ||H - H_ad||
     hdot_norms: np.ndarray  # per-time ||Hdot||
-    block_sums: np.ndarray  # per-time sum of ground-touching block norms
-    energy_locality: np.ndarray  # per-time sum |R_kg| e^(mu (k - g)) / |G|
+    block_sums: np.ndarray  # per-time sum_k ||R[k, :]||, over blocks G + {k}
+    energy_locality: np.ndarray  # per-time sum_k ||R[k, :]|| e^(mu k) / |G|
     gap_min: float
     ground_dim: int
     mu: float
@@ -317,12 +296,14 @@ def condition_report(
 
     In the eigenbasis of H(t), H - H_ad = -i [Gdot, G] has only the
     excited-ground blocks -i R and their adjoint (see ``_gdot_eigframe``).
-    So ||H - H_ad|| is the top singular value of R, and the pairwise blocks
-    meeting the ground labels are the pairs {g, k} of norm |R_kg| and
-    diameter k - g: ``block_sums`` adds their norms, and ``energy_locality``
-    weights them by e^(mu diam) and divides by |G|.  The chain terms compare
-    the two sides of the triangle inequality block_sums >= ||H - H_ad|| at
-    the shared scale 1/(mu |G| gap_min).
+    So ||H - H_ad|| is the top singular value of R.  Each excited level k
+    meets the whole ground cluster G in one block G + {k}, of norm
+    ||R[k, :]||_2 and diameter k: ``block_sums`` adds their norms, and
+    ``energy_locality`` weights them by e^(mu k) and divides by |G|.  Row
+    norms are invariant under rotations inside G, and for |G| = 1 the
+    blocks are the pairs {0, k}.  The chain terms compare the two sides of
+    the triangle inequality block_sums >= ||H - H_ad|| (over the rows of R)
+    at the shared scale 1/(mu |G| gap_min).
     """
     pts = flow.grid.points
     gdim = flow.ground_dim
@@ -330,11 +311,9 @@ def condition_report(
     _check_derivative_gap(flow.gap, pts)
     R = _gdot_eigframe(H, pts, flow.eigenvalues, flow.basis, gdim)
     hdiff = operator_norms(R)
-    absR = np.abs(R)
-    block_sums = absR.sum(axis=(1, 2))
-    levels = np.arange(H.dimension)
-    diam = levels[gdim:, None] - levels[None, :gdim]
-    energy_locality = (absR * np.exp(mu * diam)).sum(axis=(1, 2)) / gdim
+    rows = np.linalg.norm(R, axis=2)  # (times, excited levels)
+    block_sums = rows.sum(axis=1)
+    energy_locality = rows @ np.exp(mu * np.arange(gdim, H.dimension)) / gdim
     hdot = operator_norms(H.derivative_batch(pts))
 
     gap_min = flow.gap_min

@@ -155,13 +155,17 @@ def _cmd_spread(args) -> int:
     T, H, grid = _first_run(config)
     prop = evolve_on_grid(H, grid, config.integrator_tol)
     amps = propagator_spread(prop, source)
-    out = Path(config.output_dir)
+    rows = ["t," + ",".join(f"amp_{j}" for j in range(H.dimension))]
+    for t, row in zip(grid.points, amps):
+        rows.append(f"{t:.17g}," + ",".join(f"{a:.17g}" for a in row))
+    csv = "\n".join(rows) + "\n"
+    if args.output_dir is None:
+        print(csv, end="")
+        return EXIT_OK
+    out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "spread.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("t," + ",".join(f"amp_{j}" for j in range(H.dimension)) + "\n")
-        for t, row in zip(grid.points, amps):
-            fh.write(f"{t:.17g}," + ",".join(f"{a:.17g}" for a in row) + "\n")
+    csv_path.write_text(csv)
     labels = np.arange(H.dimension)
     final = np.maximum(amps[-1], 1e-300)
     svgplot.line_plot(
@@ -228,7 +232,7 @@ _SUBCOMMANDS = {
     ),
     "spread": (
         _cmd_spread,
-        "propagator spread amplitudes (CSV + SVG)",
+        "propagator spread amplitudes (CSV; with --out, CSV + SVG)",
         "--config --out --grid --tol --supp-a",
     ),
     "adiabatic": (

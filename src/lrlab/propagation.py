@@ -142,9 +142,9 @@ def _magnus_steps(H, starts: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Fourth-order Magnus steps exp(-i h M) over the substeps
     [t, t + h], t in starts, h in hs (see the module docstring)."""
     n = len(starts)
-    mats = H.evaluate_batch(
-        np.concatenate([starts + _GAUSS_LO * hs, starts + _GAUSS_HI * hs])
-    )
+    nodes = np.concatenate([starts + _GAUSS_LO * hs, starts + _GAUSS_HI * hs])
+    # complex, so that a real-valued evaluate can take the factor 2j in place
+    mats = np.asarray(H.evaluate_batch(nodes), dtype=complex)
     H1, H2 = mats[:n], mats[n:]
     # 2M built in place.  For H1 == H2, H2 @ H1 repeats the arithmetic of
     # H1 @ H2, so [H, H] is exactly 0 whatever the BLAS; M - M^dag would be
@@ -272,14 +272,11 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
 
 
 def lr_bound_rhs(
-    supp_a: Block,
-    supp_b: Block,
-    norm_a: float,
-    norm_b: float,
-    mu: float,
-    growth: float | np.ndarray,
+    supp_a: Block, supp_b: Block, mu: float, growth: float | np.ndarray
 ) -> float | np.ndarray:
-    """Bound 2 min(|A|,|B|) ||A|| ||B|| e^(-mu d(A,B)) (e^growth - 1).
+    """Bound 2 min(|A|,|B|) e^(-mu d(A,B)) (e^growth - 1) on
+    ||[A(t), B]|| for operators A, B of unit norm supported on supp_a and
+    supp_b, such as the projectors onto them.
 
     growth is the exponent integral of a_mu over [0, t] (<a_mu>_t t), a
     scalar or an array of them.
@@ -287,7 +284,7 @@ def lr_bound_rhs(
     if supp_a.intersects(supp_b):
         raise ValidationError("supports must be disjoint")
     d = block_distance(supp_a, supp_b)
-    prefactor = 2.0 * min(supp_a.size, supp_b.size) * norm_a * norm_b
+    prefactor = 2.0 * min(supp_a.size, supp_b.size)
     return prefactor * np.exp(-mu * d) * np.expm1(growth)
 
 
@@ -399,9 +396,7 @@ def bound_audit(
     # level i sits at label permutation[i], the basis a_mu is certified in;
     # the projectors on the supports have norm 1
     growth = _running_integral(certificate.a_mu_samples, grid.points)
-    rhs = lr_bound_rhs(
-        Block(permutation[a]), Block(permutation[b]), 1.0, 1.0, mu, growth
-    )
+    rhs = lr_bound_rhs(Block(permutation[a]), Block(permutation[b]), mu, growth)
 
     return AuditReport(
         times=grid.points.copy(),

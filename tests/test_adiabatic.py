@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lrlab.adiabatic import (
     wave_operator_errors,
 )
 from lrlab.errors import IllConditionedError, LevelCrossingError, ValidationError
+from lrlab.experiment import empirical_v_lr
 from lrlab.locality import certify
 from lrlab.models import (
     ConstantHamiltonian,
@@ -376,15 +379,13 @@ def test_instantaneous_locality_constant_zero():
 
 
 def test_instantaneous_locality_matches_block_path(ramp_run):
-    """energy_locality against the pairwise blocks of H - H_ad, built from
-    the batched h_ad and written in the flow's eigenframes: on the ramp, and
-    on two uncoupled copies of a two-level ramp, whose ground cluster has
-    two levels."""
+    """energy_locality against the blocks of H - H_ad meeting the ground
+    cluster, built from the batched h_ad and written in the flow's
+    eigenframes: the pairs {0, k} on the ramp, and the blocks G + {k} on two
+    uncoupled copies of a two-level ramp, whose ground cluster has two
+    levels."""
     H, run = ramp_run
-    pair = np.array([[0.0, 0.3], [0.3, 1.0]])
-    doubled = LinearInterpolationHamiltonian(
-        np.kron(np.eye(2), np.diag([0.0, 1.0])), np.kron(np.eye(2), pair), 5.0
-    )
+    doubled = doubled_ramp()
     doubled_flow = spectral_flow(doubled, TimeGrid.uniform(5.0, 51))
     assert doubled_flow.ground_dim == 2
     cases = [(H, run.flow), (doubled, doubled_flow)]
@@ -396,9 +397,15 @@ def test_instantaneous_locality_matches_block_path(ramp_run):
         D = H.evaluate_batch(pts) - h_ad(H, flow, pts)
         V = flow.basis
         D_eig = V.conj().transpose(0, 2, 1) @ D @ V
-        # ground level g meets level k >= gdim in a block of diameter k - g
-        diam = np.arange(gdim, d)[:, None] - np.arange(gdim)[None, :]
-        blocks = np.abs(D_eig[:, gdim:, :gdim]) * np.exp(mu * diam)
+        excited_ground = D_eig[:, gdim:, :gdim]
+        if gdim == 1:
+            # ground level g meets level k >= gdim in a block of diameter k - g
+            diam = np.arange(gdim, d)[:, None] - np.arange(gdim)[None, :]
+            blocks = np.abs(excited_ground) * np.exp(mu * diam)
+        else:
+            # level k meets the whole cluster in one block of diameter k
+            rows = np.linalg.norm(excited_ground, axis=2, keepdims=True)
+            blocks = rows * np.exp(mu * np.arange(gdim, d))[:, None]
         oracle = blocks.sum(axis=(1, 2)) / gdim
         np.testing.assert_allclose(
             report.energy_locality, oracle, rtol=1e-10, atol=1e-14
@@ -415,3 +422,92 @@ def test_instantaneous_locality_scales_as_one_over_T():
         report = condition_report(H, flow, certify(H, mu, grid))
         vals[T] = report.energy_locality[100]  # t = T / 2
     assert vals[30.0] / vals[60.0] == pytest.approx(2.0, rel=0.05)
+
+
+# -- gauge invariance ------------------------------------------------------------------
+
+
+def doubled_ramp():
+    """Two uncoupled copies of a two-level ramp over T = 5: d = 4, |G| = 2."""
+    pair = np.array([[0.0, 0.3], [0.3, 1.0]])
+    return LinearInterpolationHamiltonian(
+        np.kron(np.eye(2), np.diag([0.0, 1.0])), np.kron(np.eye(2), pair), 5.0
+    )
+
+
+def regauged(flow, seed, angle=0.0):
+    """The flow with a random phase on every eigenvector column at every
+    time, and its first two ground columns rotated by angle."""
+    rng = np.random.default_rng(seed)
+    times, d, _ = flow.basis.shape
+    basis = flow.basis * np.exp(2j * np.pi * rng.random((times, 1, d)))
+    c, s = np.cos(angle), np.sin(angle)
+    basis[:, :, :2] = basis[:, :, :2] @ np.array([[c, -s], [s, c]])
+    return dataclasses.replace(flow, basis=basis)
+
+
+def condition_outputs(H, flow, cert):
+    report = condition_report(H, flow, cert)
+    scalars = [
+        report.hdiff_gap_ratio,
+        report.chain_block_term,
+        report.chain_norm_term,
+    ]
+    return np.concatenate(
+        [scalars, report.hdiff_norms, report.block_sums, report.energy_locality]
+    )
+
+
+def test_flow_readers_are_gauge_invariant(ramp_run):
+    """Every reader of flow.basis gives the same outputs, to 1e-12, when the
+    eigenframes change by a phase per column and, inside a degenerate
+    ground cluster, by a rotation."""
+    H, run = ramp_run
+    flow = run.flow
+    moved = regauged(flow, seed=21)
+    cert = certify(H, 0.5, flow.grid)
+    np.testing.assert_allclose(
+        condition_outputs(H, moved, cert),
+        condition_outputs(H, flow, cert),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    assert adiabatic_error(run.U, moved) == pytest.approx(
+        adiabatic_error(run.U, flow), rel=1e-12, abs=1e-12
+    )
+    args = (H, 25.0, 6e-4, flow.grid)
+    speed = empirical_v_lr(*args, flow=flow, propagator=run.U)
+    moved_speed = empirical_v_lr(*args, flow=moved, propagator=run.U)
+    assert moved_speed.v_lr == pytest.approx(speed.v_lr, rel=1e-12)
+    assert moved_speed.crossing_times.keys() == speed.crossing_times.keys()
+    np.testing.assert_allclose(
+        list(moved_speed.crossing_times.values()),
+        list(speed.crossing_times.values()),
+        rtol=1e-12,
+    )
+
+    H2 = doubled_ramp()
+    grid = TimeGrid.uniform(5.0, 51)
+    flow2 = spectral_flow(H2, grid)
+    moved2 = regauged(flow2, seed=22, angle=0.3)
+    cert2 = certify(H2, 0.5, grid)
+    before = condition_report(H2, flow2, cert2)
+    assert np.all(before.block_sums >= before.hdiff_norms - 1e-12)
+    np.testing.assert_allclose(
+        condition_outputs(H2, moved2, cert2),
+        condition_outputs(H2, flow2, cert2),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    U2 = evolve_on_grid(H2, grid, tol=1e-10)
+    delta_ad = adiabatic_error(U2, flow2)
+    assert adiabatic_error(U2, moved2) == pytest.approx(delta_ad, rel=1e-12, abs=1e-12)
+    # the evolved maximally mixed ground state: 1 - tr[G(T) rho(T)]
+    UT, G0, GT = U2.unitaries[-1], flow2.ground_projector[0], flow2.ground_projector[-1]
+    mixed = 1.0 - np.trace(GT @ UT @ G0 @ UT.conj().T).real / 2
+    assert delta_ad == pytest.approx(mixed, abs=1e-12)
+    assert delta_ad > 1e-6
+    # a degenerate cluster has no crossing analysis, in any gauge
+    for f in (flow2, moved2):
+        with pytest.raises(ValidationError):
+            empirical_v_lr(H2, 5.0, 6e-4, grid, flow=f, propagator=U2)

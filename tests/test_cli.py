@@ -135,6 +135,21 @@ def test_spread(small_cfg_file, tmp_path, capsys):
     assert (out / "spread.svg").exists()
 
 
+def test_spread_without_out_writes_nothing(small_cfg_file, tmp_path, monkeypatch, capsys):
+    """Without --out, spread prints its CSV and leaves the working directory
+    as it found it, as locality, bound-check and adiabatic do."""
+    cwd = tmp_path / "empty"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code = main(["spread", "--config", str(small_cfg_file), "--grid", "11"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("t,amp_0,amp_1")
+    assert len(lines) == 1 + 11
+    assert list(cwd.iterdir()) == []
+    assert not (tmp_path / "out").exists()  # the config's output_dir
+
+
 def test_adiabatic_summary(small_cfg_file, tmp_path, capsys):
     out = tmp_path / "ad"
     code = main(

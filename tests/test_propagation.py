@@ -181,6 +181,29 @@ def test_evolve_rejects_a_generator_that_turns_nonfinite():
         evolve_on_grid(_BlowUp(), TimeGrid.uniform(1.0, 11))
 
 
+class _RealRamp(TimeDependentHamiltonian):
+    """A 2-level linear ramp whose evaluate returns matrices of the given
+    dtype: real ones carry no imaginary part for the integrator to take."""
+
+    dimension = 2
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def evaluate(self, t):
+        return np.array([[1.0 - t, 0.5 * t], [0.5 * t, t - 1.0]], dtype=self.dtype)
+
+
+def test_evolve_accepts_a_real_valued_evaluate():
+    """A real evaluate integrates to the checkpoints of the same ramp given
+    as complex matrices, bit for bit."""
+    grid = TimeGrid.uniform(2.0, 21)
+    real = evolve_on_grid(_RealRamp(float), grid, 1e-10)
+    cplx = evolve_on_grid(_RealRamp(complex), grid, 1e-10)
+    assert real.step == cplx.step > 0
+    np.testing.assert_array_equal(real.unitaries, cplx.unitaries)
+
+
 def test_integrator_takes_no_eigh(monkeypatch):
     """The step exponential is the Taylor kernel alone: with eigh made to
     raise, the kernel and the integrator still run (the unitarity defect
@@ -322,11 +345,11 @@ def test_commutator_norm_role_swap_symmetry():
 
 
 def test_lr_bound_rhs_zero_at_t0():
-    assert lr_bound_rhs(Block([0]), Block([5]), 1.0, 1.0, 0.5, 2.0 * 0.0) == 0.0
+    assert lr_bound_rhs(Block([0]), Block([5]), 0.5, 2.0 * 0.0) == 0.0
 
 
 def test_lr_bound_rhs_distance_falloff():
-    args = dict(norm_a=1.0, norm_b=1.0, mu=0.7, growth=2.0 * 1.5)
+    args = dict(mu=0.7, growth=2.0 * 1.5)
     near = lr_bound_rhs(Block([0]), Block([2]), **args)
     far = lr_bound_rhs(Block([0]), Block([4]), **args)
     assert far == pytest.approx(near * np.exp(-0.7 * 2), rel=1e-12)
@@ -334,7 +357,7 @@ def test_lr_bound_rhs_distance_falloff():
 
 def test_lr_bound_rhs_overlap_rejected():
     with pytest.raises(ValidationError):
-        lr_bound_rhs(Block([0, 1]), Block([1, 2]), 1.0, 1.0, 0.5, 1.0 * 1.0)
+        lr_bound_rhs(Block([0, 1]), Block([1, 2]), 0.5, 1.0 * 1.0)
 
 
 def test_spread_identity_at_t0(ramp_prop):
@@ -536,7 +559,7 @@ def test_audit_rhs_is_lr_bound_rhs_in_the_certified_basis():
     a, t = cert.a_mu_samples, grid.points
     growth = np.concatenate([[0.0], np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(t))])
     # level 0 sits at label 9, two labels from level 7
-    want = lr_bound_rhs(Block([9]), Block([7]), 1.0, 1.0, 0.5, growth)
+    want = lr_bound_rhs(Block([9]), Block([7]), 0.5, growth)
     np.testing.assert_allclose(report.rhs, want, rtol=1e-14, atol=0.0)
     assert want[-1] == pytest.approx(2.0 * np.exp(-1.0) * np.expm1(growth[-1]))
 
