@@ -11,13 +11,25 @@ Gdot is computed from first-order perturbation theory,
     Gdot = sum_{k outside, g inside} |k><k| Hdot |g><g| / (E_g - E_k) + h.c.,
 
 which is exact for an isolated cluster and avoids finite-difference noise.
-On the grid, R = Gdot's excited-ground block is read off the flow's
-eigenframes; h_ad diagonalizes H itself, at times off the grid too.
+
+In the energy basis everything the layer measures is one block: how the
+excited columns V_E(t) of an eigenframe meet the ground columns V_G,
+
+    V_E(t)^dag W V_G,
+
+read by ``_excited_ground``.  With W = Hdot(t) and V_G = V_G(t) it gives
+R = Gdot's excited-ground block, and so H - H_ad; with W = U(t) and
+V_G = V_G(0) it gives the ground-space leakage delta_ad and the
+intertwining defect, since for projectors of equal rank
+||P - Q|| = ||(1 - Q) P|| (Kato, Perturbation Theory for Linear Operators,
+I 4.6).  No d x d projector is formed.  On the grid the frames
+are the flow's; h_ad diagonalizes H itself, at times off the grid too.
 
 The eigenframes are eigh's as they come: each column is fixed only up to a
-phase, and the ground cluster's columns only up to a unitary rotation inside
-the cluster.  Everything read from them is invariant under both: moduli of
-amplitudes, projectors, operator and row norms of R.
+phase, and the columns of a degenerate level (the ground cluster, or an
+excited level) only up to a unitary rotation inside it.  Everything read
+from them is invariant under both: moduli of amplitudes, operator norms of
+the block, and Frobenius norms of its rows grouped by level.
 """
 
 from __future__ import annotations
@@ -49,9 +61,8 @@ class SpectralFlow:
     grid: TimeGrid
     eigenvalues: np.ndarray  # (times, dim), ascending
     # (times, dim, dim), eigh's eigenvector columns: each fixed only up to a
-    # phase, and the ground columns up to a rotation inside the cluster
+    # phase, and the columns of a degenerate level up to a rotation inside it
     basis: np.ndarray
-    ground_projector: np.ndarray  # (times, dim, dim)
     gap: np.ndarray  # (times,)
     gap_min: float
     ground_dim: int
@@ -90,14 +101,10 @@ def spectral_flow(
     if gdim >= H.dimension:
         raise GapClosureError("the ground cluster spans the whole spectrum")
     gap = _cluster_gap(vals, grid.points, gdim, cluster_tol)
-
-    ground = vecs[:, :, :gdim]
-    projector = ground @ ground.conj().transpose(0, 2, 1)
     return SpectralFlow(
         grid=grid,
         eigenvalues=vals,
         basis=vecs,
-        ground_projector=projector,
         gap=gap,
         gap_min=float(gap.min()),
         ground_dim=gdim,
@@ -117,6 +124,18 @@ def _check_derivative_gap(gap: np.ndarray, ts: np.ndarray) -> None:
         )
 
 
+def _check_aligned(flow: SpectralFlow, *grids: TimeGrid) -> None:
+    """Refuse any grid whose points are not the flow's."""
+    if any(not np.array_equal(g.points, flow.grid.points) for g in grids):
+        raise ValidationError("grid does not align with the flow's grid")
+
+
+def _excited_ground(V: np.ndarray, W: np.ndarray, VG: np.ndarray) -> np.ndarray:
+    """The block V_E^dag W V_G, batched over leading axes: V_G the given
+    ground columns, V_E the columns of the frames V past the first |G|."""
+    return V[..., VG.shape[-1] :].conj().swapaxes(-1, -2) @ (W @ VG)
+
+
 def _gdot_eigframe(
     H: TimeDependentHamiltonian,
     ts: np.ndarray,
@@ -126,10 +145,8 @@ def _gdot_eigframe(
 ) -> np.ndarray:
     """Excited-to-ground block R of Gdot in the instantaneous eigenframe:
     R[t, k, g] = <k|Hdot|g> / (E_g - E_k)."""
-    hdots = H.derivative_batch(ts)
-    W = np.einsum("tji,tjl,tlm->tim", vecs.conj(), hdots, vecs, optimize=True)
-    denom = vals[:, None, :gdim] - vals[:, gdim:, None]  # E_g - E_k
-    return W[:, gdim:, :gdim] / denom
+    W = _excited_ground(vecs, H.derivative_batch(ts), vecs[..., :gdim])
+    return W / (vals[:, None, :gdim] - vals[:, gdim:, None])  # E_g - E_k
 
 
 def h_ad(
@@ -137,22 +154,24 @@ def h_ad(
 ) -> np.ndarray:
     """Adiabatic generator H(t) + i [Gdot(t), G(t)] at each of the times ts,
     shape (len(ts), dim, dim).  The times need not lie on the flow's grid:
-    H is diagonalized at each, with the flow's cluster size and cluster_tol."""
+    H is diagonalized at each, with the flow's cluster size and cluster_tol.
+
+    In the eigenframe i [Gdot, G] has only the excited-ground block i R and
+    its adjoint, so it is i (X - X^dag) with X = V_E R V_G^dag.  That is
+    added to the evaluated H itself, so the result is exactly Hermitian.
+    """
     ts = np.asarray(ts, dtype=float)
     gdim = flow.ground_dim
-    vals, vecs = np.linalg.eigh(H.evaluate_batch(ts))
+    mats = H.evaluate_batch(ts)
+    vals, vecs = np.linalg.eigh(mats)
     _check_derivative_gap(_cluster_gap(vals, ts, gdim, flow.cluster_tol), ts)
     R = _gdot_eigframe(H, ts, vals, vecs, gdim)
-    n_t, d = vals.shape
-    core = np.zeros((n_t, d, d), dtype=complex)
-    # i [Gdot, G] has only excited-ground blocks in the eigenframe
-    core[:, gdim:, :gdim] = 1j * R
-    core[:, :gdim, gdim:] = (1j * R).conj().transpose(0, 2, 1)
-    idx = np.arange(d)
-    core[:, idx, idx] += vals
-    return np.einsum(
-        "tij,tjl,tml->tim", vecs, core, vecs.conj(), optimize=True
-    )
+    D = vecs[..., gdim:] @ R @ vecs[..., :gdim].conj().swapaxes(-1, -2)
+    del vecs, R  # free the frames, then assemble in place: this sets the peak
+    D -= D.conj().swapaxes(-1, -2)
+    D *= 1j
+    D += mats
+    return D
 
 
 class _AdiabaticGenerator:
@@ -168,13 +187,19 @@ class _AdiabaticGenerator:
 
 
 def intertwining_defect(U_ad: Propagator, flow: SpectralFlow) -> float:
-    """max over checkpoints of || U_ad G(0) U_ad^dag - G(t) ||."""
-    if not np.array_equal(U_ad.grid.points, flow.grid.points):
-        raise ValidationError("propagator and flow grids do not align")
-    U = U_ad.unitaries
-    G0 = flow.ground_projector[0]
-    transported = U @ G0 @ U.conj().transpose(0, 2, 1)
-    return float(operator_norms(transported - flow.ground_projector).max())
+    """max over checkpoints of || U_ad G(0) U_ad^dag - G(t) ||, read as
+
+        max_t || V_E(t)^dag U_ad(t) V_G(0) ||_2:
+
+    the two projectors have equal rank, so their distance is the norm of
+    the transported ground columns' excited part.  The identity assumes a
+    unitary U_ad; otherwise it is off by O(unitarity_defect).  It is
+    invariant under phases and under rotations inside degenerate levels.
+    """
+    _check_aligned(flow, U_ad.grid)
+    ground = flow.basis[0][:, : flow.ground_dim]
+    leak = _excited_ground(flow.basis, U_ad.unitaries, ground)
+    return float(operator_norms(leak).max())
 
 
 def evolve_adiabatic(
@@ -187,27 +212,27 @@ def evolve_adiabatic(
 def adiabatic_error(U: Propagator, flow: SpectralFlow) -> float:
     """Final ground-space leakage of the exact evolution,
 
-        delta_ad = ||(1 - G(T)) U(T, 0) V_G(0)||_F^2 / |G|,
+        delta_ad = ||V_E(T)^dag U(T, 0) V_G(0)||_F^2 / |G|,
 
-    with V_G(0) the flow's ground columns at t = 0: the weight the evolved,
-    maximally mixed initial ground state leaves outside G(T).  For |G| = 1
-    it is 1 - <psi(T)| G(T) |psi(T)> with |psi(T)> = U(T, 0) |ground(0)>,
-    but is summed from the leaked components rather than subtracted from 1.
-    It is invariant under any rotation of V_G(0) inside the cluster.
+    with V_G(0) the flow's ground columns at t = 0 and V_E(T) its excited
+    columns at T: the weight the evolved, maximally mixed initial ground
+    state leaves outside G(T).  For |G| = 1 it is 1 - <psi(T)| G(T) |psi(T)>
+    with |psi(T)> = U(T, 0) |ground(0)>, but is a sum of non-negative terms
+    rather than a difference from 1.  The identity assumes a unitary U;
+    otherwise it is off by O(unitarity_defect).  It is invariant under
+    phases and under rotations inside degenerate levels.
     """
-    if not np.array_equal(U.grid.points, flow.grid.points):
-        raise ValidationError("propagator and flow grids do not align")
-    evolved = U.unitaries[-1] @ flow.basis[0][:, : flow.ground_dim]
-    leaked = evolved - flow.ground_projector[-1] @ evolved
-    return float(np.sum(np.abs(leaked) ** 2) / flow.ground_dim)
+    _check_aligned(flow, U.grid)
+    ground = flow.basis[0][:, : flow.ground_dim]
+    leak = _excited_ground(flow.basis[-1], U.unitaries[-1], ground)
+    return float(np.sum(np.abs(leak) ** 2) / flow.ground_dim)
 
 
 def wave_operator_errors(
     U: Propagator, U_ad: Propagator, flow: SpectralFlow
 ) -> tuple[np.ndarray, float]:
     """delta(t) = ||1 - U_ad^dag U|| per checkpoint, plus delta_ad(T)."""
-    if not np.array_equal(U.grid.points, U_ad.grid.points):
-        raise ValidationError("the two propagators use different grids")
+    _check_aligned(flow, U.grid, U_ad.grid)
     omega = U_ad.unitaries.conj().transpose(0, 2, 1) @ U.unitaries
     return operator_norms(np.eye(U.dimension) - omega), adiabatic_error(U, flow)
 
@@ -266,8 +291,10 @@ class ConditionReport:
     epsilon_scale: float  # |G| mu; converts the chain scale to the plain one
     hdiff_norms: np.ndarray  # per-time ||H - H_ad||
     hdot_norms: np.ndarray  # per-time ||Hdot||
-    block_sums: np.ndarray  # per-time sum_k ||R[k, :]||, over blocks G + {k}
-    energy_locality: np.ndarray  # per-time sum_k ||R[k, :]|| e^(mu k) / |G|
+    # per-time sum_K ||R[K, :]||_F over the blocks G + K, K an excited level
+    block_sums: np.ndarray
+    # per-time sum_K ||R[K, :]||_F e^(mu max K) / |G|
+    energy_locality: np.ndarray
     gap_min: float
     ground_dim: int
     mu: float
@@ -296,14 +323,16 @@ def condition_report(
 
     In the eigenbasis of H(t), H - H_ad = -i [Gdot, G] has only the
     excited-ground blocks -i R and their adjoint (see ``_gdot_eigframe``).
-    So ||H - H_ad|| is the top singular value of R.  Each excited level k
-    meets the whole ground cluster G in one block G + {k}, of norm
-    ||R[k, :]||_2 and diameter k: ``block_sums`` adds their norms, and
-    ``energy_locality`` weights them by e^(mu k) and divides by |G|.  Row
-    norms are invariant under rotations inside G, and for |G| = 1 the
-    blocks are the pairs {0, k}.  The chain terms compare the two sides of
-    the triangle inequality block_sums >= ||H - H_ad|| (over the rows of R)
-    at the shared scale 1/(mu |G| gap_min).
+    So ||H - H_ad|| is the top singular value of R.  Excited levels within
+    the flow's cluster_tol of their neighbour form one level K, and each K
+    meets the whole ground cluster G in one block G + K, of norm
+    ||R[K, :]||_F and diameter max K: ``block_sums`` adds their norms, and
+    ``energy_locality`` weights them by e^(mu max K) and divides by |G|.
+    These norms are invariant under rotations inside G and inside K, and
+    for |G| = 1 and a simple spectrum the blocks are the pairs {0, k}.  The
+    chain terms compare the two sides of the triangle inequality
+    block_sums >= ||H - H_ad|| (over the row groups of R, as the Frobenius
+    norm bounds the operator norm) at the shared scale 1/(mu |G| gap_min).
     """
     pts = flow.grid.points
     gdim = flow.ground_dim
@@ -311,9 +340,15 @@ def condition_report(
     _check_derivative_gap(flow.gap, pts)
     R = _gdot_eigframe(H, pts, flow.eigenvalues, flow.basis, gdim)
     hdiff = operator_norms(R)
-    rows = np.linalg.norm(R, axis=2)  # (times, excited levels)
-    block_sums = rows.sum(axis=1)
-    energy_locality = rows @ np.exp(mu * np.arange(gdim, H.dimension)) / gdim
+    # a level K's block norm goes to its highest column, where max K is:
+    # ends marks those columns, and ids count the ends before each column
+    splits = np.diff(flow.eigenvalues[:, gdim:], axis=1) > flow.cluster_tol
+    ends = np.pad(splits, ((0, 0), (0, 1)), constant_values=True)
+    row_sq = np.sum(np.abs(R) ** 2, axis=2)
+    blocks = np.zeros_like(row_sq)
+    blocks[ends] = np.sqrt(np.bincount(np.cumsum(ends) - ends.ravel(), row_sq.ravel()))
+    block_sums = blocks.sum(axis=1)
+    energy_locality = blocks @ np.exp(mu * np.arange(gdim, H.dimension)) / gdim
     hdot = operator_norms(H.derivative_batch(pts))
 
     gap_min = flow.gap_min

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .adiabatic import SpectralFlow, adiabatic_error, spectral_flow
+from .adiabatic import SpectralFlow, _check_aligned, adiabatic_error, spectral_flow
 from .errors import InsufficientCrossingsError, LrlabError, ValidationError
 from .models import (
     ConstantHamiltonian,
@@ -169,8 +169,10 @@ def empirical_v_lr(
     from the initial ground state exceeds the threshold is located; the
     headline speed is the least-squares slope of level index against
     crossing time, and all pairwise speeds (k2 - k1) / (t2 - t1) are
-    reported alongside.
+    reported alongside.  The propagator's grid and ``grid`` must both be the
+    flow's.
     """
+    _check_aligned(flow, propagator.grid, grid)
     if threshold <= 0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     if flow.ground_dim != 1:

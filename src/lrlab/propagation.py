@@ -98,7 +98,8 @@ def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
     tail; it is evaluated by Horner and squared s times.  A non-finite A is
     rejected before s and p are chosen.
     """
-    A = mats * (-1j * hs)[:, None, None]
+    with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused below
+        A = mats * (-1j * hs)[:, None, None]
     x = float(np.abs(A).sum(axis=-2).max())
     if not np.isfinite(x):
         raise ValidationError("Hamiltonian contains NaN or Inf entries")

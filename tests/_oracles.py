@@ -226,3 +226,29 @@ def ensemble_params(count=50):
         mu_prime = 1.0 + 2.0 * ((seed * 0.37) % 1.0)
         params.append((seed, n, mu_prime))
     return params
+
+
+def ground_projector(flow):
+    """(times, d, d) stack of the ground-cluster projectors V_G V_G^dag,
+    built from the flow's ground columns."""
+    V = flow.basis[:, :, : flow.ground_dim]
+    return V @ V.conj().transpose(0, 2, 1)
+
+
+def transport_defect(U_ad, flow):
+    """max_t ||U_ad(t) G(0) U_ad(t)^dag - G(t)||, the d x d projector
+    difference that the intertwining defect reads from a block."""
+    G = ground_projector(flow)
+    U = U_ad.unitaries
+    diff = U @ G[0] @ U.conj().transpose(0, 2, 1) - G
+    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
+
+
+def mixed_ground_leakage(U, flow):
+    """1 - tr[G(T) U(T) G(0) U(T)^dag] / |G|: the weight the evolved,
+    maximally mixed initial ground state leaves outside G(T), subtracted
+    from 1."""
+    G = ground_projector(flow)
+    UT = U.unitaries[-1]
+    kept = np.trace(G[-1] @ UT @ G[0] @ UT.conj().T).real
+    return 1.0 - kept / flow.ground_dim

@@ -51,6 +51,7 @@ from _oracles import (
     RK4_ORACLE_STEPS,
     brute_probe_sum,
     ensemble_params,
+    ground_projector,
     operator_norm,
     probe_blocks,
     random_anti_hermitian,
@@ -304,7 +305,7 @@ def test_criterion_5_adiabatic_identities(adiabatic_runs):
         slope_ok = bool(np.all(hdiff <= hdot / flow.gap_min + 1e-9))
 
         sample = slice(None, None, len(pts) // 8)
-        G = flow.ground_projector[sample]
+        G = ground_projector(flow)[sample]
         Gp = np.eye(11) - G
         Ds = D[sample]
         block_ok = bool(

@@ -26,7 +26,13 @@ from lrlab.models import (
 from lrlab.numerics import TimeGrid, operator_norms
 from lrlab.propagation import evolve_on_grid
 
-from _oracles import operator_norm, random_hermitian
+from _oracles import (
+    ground_projector,
+    mixed_ground_leakage,
+    operator_norm,
+    random_hermitian,
+    transport_defect,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +42,16 @@ def ramp_run():
     H = build_example_ramp(T)
     grid = TimeGrid.uniform(T, 501)
     return H, run_adiabatic(H, grid, tol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def doubled_run():
+    """The doubled ramp (|G| = 2): flow, U and U_ad at tol 1e-10 on 51
+    points."""
+    H = doubled_ramp()
+    grid = TimeGrid.uniform(5.0, 51)
+    flow = spectral_flow(H, grid)
+    return H, flow, evolve_on_grid(H, grid, 1e-10), evolve_adiabatic(H, flow, 1e-10)
 
 
 # -- spectral flow ------------------------------------------------------------
@@ -51,7 +67,7 @@ def test_flow_example_constants(ramp_run):
 
 def test_flow_projector_invariants(ramp_run):
     _, run = ramp_run
-    G = run.flow.ground_projector
+    G = ground_projector(run.flow)
     idem = G @ G - G
     herm = G - G.conj().transpose(0, 2, 1)
     assert np.linalg.svd(idem, compute_uv=False)[:, 0].max() <= 1e-10
@@ -72,7 +88,8 @@ def test_flow_constant_hamiltonian():
     M = random_hermitian(rng, 6)
     flow = spectral_flow(ConstantHamiltonian(M), TimeGrid.uniform(2.0, 21))
     assert np.ptp(flow.gap) <= 1e-12
-    dev = flow.ground_projector - flow.ground_projector[0]
+    G = ground_projector(flow)
+    dev = G - G[0]
     assert np.abs(dev).max() <= 1e-10
 
 
@@ -114,7 +131,7 @@ def test_gdot_constant_is_zero():
     M = random_hermitian(rng, 5)
     H = ConstantHamiltonian(M)
     flow = spectral_flow(H, TimeGrid.uniform(1.0, 11))
-    gdot = gdot_from_h_ad(H, flow, 0.5, flow.ground_projector[5])
+    gdot = gdot_from_h_ad(H, flow, 0.5, ground_projector(flow)[5])
     assert operator_norm(gdot) <= 1e-12
 
 
@@ -183,6 +200,15 @@ def test_h_ad_hermitian_and_block_structure(ramp_run):
         assert operator_norm(Gp @ D @ Gp) <= 1e-9
 
 
+def test_h_ad_is_exactly_hermitian(ramp_run):
+    """H_ad is the evaluated H plus i (X - X^dag): Hermitian bit for bit,
+    not only to rounding."""
+    H, run = ramp_run
+    ts = np.random.default_rng(11).uniform(0.0, 25.0, 1000)
+    HA = h_ad(H, run.flow, ts)
+    assert np.array_equal(HA, HA.conj().transpose(0, 2, 1))
+
+
 def test_h_ad_correction_scales_as_one_over_T():
     s_values = (0.25, 0.5, 0.75)
     norms = {}
@@ -219,10 +245,25 @@ def test_constant_adiabatic_propagator_trivial():
 def test_transported_projector_trace(ramp_run):
     _, run = ramp_run
     UT = run.U_ad.unitaries[-1]
-    G0 = run.flow.ground_projector[0]
-    GT = run.flow.ground_projector[-1]
+    G = ground_projector(run.flow)
+    G0, GT = G[0], G[-1]
     transported = UT @ G0 @ UT.conj().T
     assert abs(np.trace(transported - GT)) <= 1e-8
+
+
+def test_block_readers_match_projector_forms(ramp_run, doubled_run):
+    """The intertwining defect and delta_ad read from the excited-ground
+    block agree with their d x d projector forms, for |G| = 1 and 2."""
+    _, run = ramp_run
+    _, flow2, U2, U2_ad = doubled_run
+    for flow, U, U_ad in ((run.flow, run.U, run.U_ad), (flow2, U2, U2_ad)):
+        assert intertwining_defect(U_ad, flow) == pytest.approx(
+            transport_defect(U_ad, flow), abs=1e-12
+        )
+        assert adiabatic_error(U, flow) == pytest.approx(
+            mixed_ground_leakage(U, flow), abs=1e-12
+        )
+    assert adiabatic_error(U2, flow2) > 1e-6
 
 
 # -- wave-operator errors -----------------------------------------------------------
@@ -381,9 +422,9 @@ def test_instantaneous_locality_constant_zero():
 def test_instantaneous_locality_matches_block_path(ramp_run):
     """energy_locality against the blocks of H - H_ad meeting the ground
     cluster, built from the batched h_ad and written in the flow's
-    eigenframes: the pairs {0, k} on the ramp, and the blocks G + {k} on two
-    uncoupled copies of a two-level ramp, whose ground cluster has two
-    levels."""
+    eigenframes: the pairs {0, k} on the ramp, and one block G + K on two
+    uncoupled copies of a two-level ramp, whose ground cluster G and excited
+    level K have two columns each."""
     H, run = ramp_run
     doubled = doubled_ramp()
     doubled_flow = spectral_flow(doubled, TimeGrid.uniform(5.0, 51))
@@ -402,11 +443,13 @@ def test_instantaneous_locality_matches_block_path(ramp_run):
             # ground level g meets level k >= gdim in a block of diameter k - g
             diam = np.arange(gdim, d)[:, None] - np.arange(gdim)[None, :]
             blocks = np.abs(excited_ground) * np.exp(mu * diam)
+            oracle = blocks.sum(axis=(1, 2)) / gdim
         else:
-            # level k meets the whole cluster in one block of diameter k
-            rows = np.linalg.norm(excited_ground, axis=2, keepdims=True)
-            blocks = rows * np.exp(mu * np.arange(gdim, d))[:, None]
-        oracle = blocks.sum(axis=(1, 2)) / gdim
+            # the excited pair is one level at every time: it meets the
+            # whole cluster in one block of diameter 3
+            assert np.ptp(flow.eigenvalues[:, 2:], axis=1).max() <= 1e-12
+            block = np.linalg.norm(excited_ground, axis=(1, 2))
+            oracle = block * np.exp(mu * 3) / gdim
         np.testing.assert_allclose(
             report.energy_locality, oracle, rtol=1e-10, atol=1e-14
         )
@@ -435,14 +478,26 @@ def doubled_ramp():
     )
 
 
-def regauged(flow, seed, angle=0.0):
+def three_level_ramp():
+    """diag(0, 1, 1) to a coupling of level 0 to both upper levels over
+    T = 5: the excited levels are degenerate at t = 0 only."""
+    coupled = np.array([[0.0, 0.2, 0.2], [0.2, 1.0, 0.0], [0.2, 0.0, 1.0]])
+    return LinearInterpolationHamiltonian(np.diag([0.0, 1.0, 1.0]), coupled, 5.0)
+
+
+def regauged(flow, seed, turns=()):
     """The flow with a random phase on every eigenvector column at every
-    time, and its first two ground columns rotated by angle."""
+    time, and each column pair (c, c + 1) of turns rotated by its angle
+    wherever the two levels are degenerate."""
     rng = np.random.default_rng(seed)
     times, d, _ = flow.basis.shape
     basis = flow.basis * np.exp(2j * np.pi * rng.random((times, 1, d)))
-    c, s = np.cos(angle), np.sin(angle)
-    basis[:, :, :2] = basis[:, :, :2] @ np.array([[c, -s], [s, c]])
+    for c, angle in turns:
+        at = flow.eigenvalues[:, c + 1] - flow.eigenvalues[:, c] <= flow.cluster_tol
+        assert at.any()
+        cos, sin = np.cos(angle), np.sin(angle)
+        turn = np.array([[cos, -sin], [sin, cos]])
+        basis[at, :, c : c + 2] = basis[at, :, c : c + 2] @ turn
     return dataclasses.replace(flow, basis=basis)
 
 
@@ -458,13 +513,9 @@ def condition_outputs(H, flow, cert):
     )
 
 
-def test_flow_readers_are_gauge_invariant(ramp_run):
-    """Every reader of flow.basis gives the same outputs, to 1e-12, when the
-    eigenframes change by a phase per column and, inside a degenerate
-    ground cluster, by a rotation."""
-    H, run = ramp_run
-    flow = run.flow
-    moved = regauged(flow, seed=21)
+def assert_same_readings(H, U, U_ad, flow, moved):
+    """condition_report, adiabatic_error and intertwining_defect agree to
+    1e-12 on the flow and on its regauged copy."""
     cert = certify(H, 0.5, flow.grid)
     np.testing.assert_allclose(
         condition_outputs(H, moved, cert),
@@ -472,9 +523,20 @@ def test_flow_readers_are_gauge_invariant(ramp_run):
         rtol=1e-12,
         atol=1e-12,
     )
-    assert adiabatic_error(run.U, moved) == pytest.approx(
-        adiabatic_error(run.U, flow), rel=1e-12, abs=1e-12
-    )
+    for reader, prop in ((adiabatic_error, U), (intertwining_defect, U_ad)):
+        assert reader(prop, moved) == pytest.approx(
+            reader(prop, flow), rel=1e-12, abs=1e-12
+        )
+
+
+def test_flow_readers_are_gauge_invariant(ramp_run, doubled_run):
+    """Every reader of flow.basis gives the same outputs, to 1e-12, when the
+    eigenframes change by a phase per column and, inside a degenerate
+    level (the ground cluster or an excited level), by a rotation."""
+    H, run = ramp_run
+    flow = run.flow
+    moved = regauged(flow, seed=21)
+    assert_same_readings(H, run.U, run.U_ad, flow, moved)
     args = (H, 25.0, 6e-4, flow.grid)
     speed = empirical_v_lr(*args, flow=flow, propagator=run.U)
     moved_speed = empirical_v_lr(*args, flow=moved, propagator=run.U)
@@ -486,28 +548,25 @@ def test_flow_readers_are_gauge_invariant(ramp_run):
         rtol=1e-12,
     )
 
-    H2 = doubled_ramp()
-    grid = TimeGrid.uniform(5.0, 51)
-    flow2 = spectral_flow(H2, grid)
-    moved2 = regauged(flow2, seed=22, angle=0.3)
-    cert2 = certify(H2, 0.5, grid)
-    before = condition_report(H2, flow2, cert2)
+    # |G| = 2 and a doubled excited level, both degenerate at every time
+    H2, flow2, U2, U2_ad = doubled_run
+    grid = flow2.grid
+    moved2 = regauged(flow2, seed=22, turns=[(0, 0.3), (2, 0.5)])
+    before = condition_report(H2, flow2, certify(H2, 0.5, grid))
     assert np.all(before.block_sums >= before.hdiff_norms - 1e-12)
-    np.testing.assert_allclose(
-        condition_outputs(H2, moved2, cert2),
-        condition_outputs(H2, flow2, cert2),
-        rtol=1e-12,
-        atol=1e-12,
-    )
-    U2 = evolve_on_grid(H2, grid, tol=1e-10)
-    delta_ad = adiabatic_error(U2, flow2)
-    assert adiabatic_error(U2, moved2) == pytest.approx(delta_ad, rel=1e-12, abs=1e-12)
-    # the evolved maximally mixed ground state: 1 - tr[G(T) rho(T)]
-    UT, G0, GT = U2.unitaries[-1], flow2.ground_projector[0], flow2.ground_projector[-1]
-    mixed = 1.0 - np.trace(GT @ UT @ G0 @ UT.conj().T).real / 2
-    assert delta_ad == pytest.approx(mixed, abs=1e-12)
-    assert delta_ad > 1e-6
+    assert_same_readings(H2, U2, U2_ad, flow2, moved2)
     # a degenerate cluster has no crossing analysis, in any gauge
     for f in (flow2, moved2):
         with pytest.raises(ValidationError):
             empirical_v_lr(H2, 5.0, 6e-4, grid, flow=f, propagator=U2)
+
+    # |G| = 1, with the excited pair degenerate at t = 0 only
+    H3 = three_level_ramp()
+    flow3 = spectral_flow(H3, grid)
+    moved3 = regauged(flow3, seed=23, turns=[(1, 0.3)])
+    U3_ad = evolve_adiabatic(H3, flow3, tol=1e-10)
+    U3 = evolve_on_grid(H3, grid, tol=1e-10)
+    assert_same_readings(H3, U3, U3_ad, flow3, moved3)
+    # the block G + {1, 2} at t = 0: |<k|Hdot|0> / (E_0 - E_k)| = 0.04 each
+    report = condition_report(H3, moved3, certify(H3, 0.5, grid))
+    assert report.block_sums[0] == pytest.approx(0.04 * np.sqrt(2), rel=1e-12)

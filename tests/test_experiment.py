@@ -163,6 +163,27 @@ def test_fixed_basis_variant_differs():
     assert moving.v_lr != fixed.v_lr
 
 
+def test_empirical_speed_refuses_misaligned_grids():
+    """The propagator's grid and the grid argument must both be the flow's:
+    read against other points, the crossings would give a wrong speed."""
+    T = 25.0
+    H = build_example_ramp(T)
+    grid = TimeGrid.uniform(T, 501)
+    flow = spectral_flow(H, grid)
+    prop = evolve_on_grid(H, grid, 1e-9)
+    emp = empirical_v_lr(H, T, 6e-4, grid, flow=flow, propagator=prop)
+    assert emp.v_lr == pytest.approx(0.5435, abs=1e-4)
+    warped = TimeGrid(T * np.linspace(0.0, 1.0, 501) ** 2)
+    with pytest.raises(ValidationError, match="align"):
+        empirical_v_lr(
+            H, T, 6e-4, grid, flow=flow, propagator=evolve_on_grid(H, warped, 1e-9)
+        )
+    with pytest.raises(ValidationError, match="align"):
+        empirical_v_lr(
+            H, T, 6e-4, TimeGrid.uniform(2 * T, 501), flow=flow, propagator=prop
+        )
+
+
 # -- fig1 pipeline ------------------------------------------------------------
 
 
