@@ -13,8 +13,8 @@ H2 = H(t + (1/2 + sqrt(3)/6) h),
   from a scaling-and-squaring Taylor series in matrix products alone, cut
   where a rigorous bound on the dropped tail falls below 2^-53 (see
   _unitary_steps).  No step is unitary by construction: the truncation
-  bound, the measured unitarity_defect of every Propagator and a polar
-  re-orthonormalization every 256 grid intervals keep it so.
+  bound and a polar re-orthonormalization every 256 grid intervals keep it
+  so, and every Propagator measures its unitarity_defect on first read.
 - Fourth order: h M is the Magnus series of the substep cut after its
   first commutator term, with both integrals taken by two-point Gauss
   quadrature (exact for cubics).  What is dropped is O(h^5) per substep,
@@ -29,11 +29,14 @@ A ConstantHamiltonian skips the integrator: U(t) = V e^(-i t w) V^dag
 from one eigh of H = V diag(w) V^dag serves every checkpoint, with U(0)
 set to exactly I.  Its Propagator reports step 0.0 (no substeps) and the
 requested tolerance, or the measured unitarity defect where that is larger:
-rounding, not truncation, bounds the closed form's error.  For constant H
-the integrator is kept as a test oracle.
+rounding, not truncation, bounds the closed form's error.  Both the defect
+and that tolerance are computed on first read, so a run that reads neither
+never pays for the Gram matrices.  For constant H the integrator is kept as
+a test oracle.
 
 The bound audit reads ||[U^dag P_A U, P_B]|| = ||U[A, B] U[A^c, B]^dag||
-from a block of the propagator (|U_ab| ||U[A^c, b]|| for singletons): with
+from a block of the propagator (|U_ab| ||U[A^c, b]|| for singletons, from
+the one column b): with
 Q = U^dag P_A U and P = P_B, QP - PQ = QP(1 - Q) - (1 - Q)PQ, two mutually
 adjoint off-diagonal blocks of norm ||QP(1 - Q)||.  The identity assumes a
 unitary U; otherwise it departs from the commutator of the conjugated
@@ -69,17 +72,44 @@ _UNIT_ROUNDOFF = 2.0**-53
 VIOLATION_THRESHOLD = 1e-9
 
 
-@dataclass(eq=False)
 class Propagator:
-    """Checkpointed unitary U(t, 0) on a time grid."""
+    """Checkpointed unitary U(t, 0) on a time grid.
 
-    grid: TimeGrid
-    unitaries: np.ndarray  # (len(grid), d, d)
-    step: float  # widest substep; 0.0 for the closed form, which takes none
-    # the contract every checkpoint meets; for the closed form, the requested
-    # tol or the measured unitarity defect, whichever is larger
-    tolerance: float
-    unitarity_defect: float
+    step is the widest substep, 0.0 for the closed form, which takes none.
+    unitarity_defect, max over checkpoints of ||U^dag U - I||, is measured
+    on first read and cached, unless it was given.  tolerance is the
+    contract every checkpoint meets: the requested tol for an integrated
+    propagator; for the closed form, whose error rounding bounds, the
+    requested tol or the measured unitarity defect, whichever is larger, so
+    it too is computed on first read.
+    """
+
+    def __init__(
+        self,
+        grid: TimeGrid,
+        unitaries: np.ndarray,  # (len(grid), d, d)
+        step: float,
+        tolerance: float,
+        unitarity_defect: float | None = None,
+    ):
+        self.grid = grid
+        self.unitaries = unitaries
+        self.step = step
+        self._tol = tolerance
+        self._defect = unitarity_defect
+
+    @property
+    def unitarity_defect(self) -> float:
+        # threads that read it at once each measure the same value, unlocked
+        if self._defect is None:
+            self._defect = _unitarity_defect(self.unitaries)
+        return self._defect
+
+    @property
+    def tolerance(self) -> float:
+        if self.step > 0.0:
+            return self._tol
+        return max(self._tol, self.unitarity_defect)
 
     @property
     def dimension(self) -> int:
@@ -224,7 +254,8 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     A ConstantHamiltonian H = V diag(w) V^dag is served in closed form,
     U(t) = V e^(-i t w) V^dag, from one eigh, with U(0) exactly I.  Its
     Propagator has step 0.0 (no substeps) and tolerance tol, or its
-    unitarity defect where rounding cannot reach a tol that small.
+    unitarity defect where rounding cannot reach a tol that small; both are
+    computed on first read.
 
     Any other H is integrated: each grid interval takes m fourth-order
     Magnus substeps at the Gauss points (see the module docstring).  m
@@ -240,14 +271,7 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         unitaries = (V * phases[:, None, :]) @ V.conj().T
         # V V^dag is I only to rounding; lhs(0) = 0 = rhs(0) in the audit
         unitaries[0] = np.eye(H.dimension)
-        defect = _unitarity_defect(unitaries)
-        return Propagator(
-            grid=grid,
-            unitaries=unitaries,
-            step=0.0,
-            tolerance=max(tol, defect),
-            unitarity_defect=defect,
-        )
+        return Propagator(grid=grid, unitaries=unitaries, step=0.0, tolerance=tol)
     m = 1
     prev = _checkpoints_fixed(H, grid, m)
     diff = np.inf
@@ -257,13 +281,7 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         diff = _refinement_defect(cur, prev, tol)
         if diff < tol:
             width = float(np.max(np.diff(grid.points)))
-            return Propagator(
-                grid=grid,
-                unitaries=cur,
-                step=width / m,
-                tolerance=tol,
-                unitarity_defect=_unitarity_defect(cur),
-            )
+            return Propagator(grid=grid, unitaries=cur, step=width / m, tolerance=tol)
         prev = cur
     raise IntegrationError(
         f"propagator did not converge to {tol} after 20 step halvings "
@@ -357,7 +375,13 @@ def bound_audit(
     QP(1 - Q) - (1 - Q)PQ for Q = U^dag A U and P = B splits into two
     mutually adjoint off-diagonal blocks of norm ||QP(1 - Q)||.  The
     identity assumes U unitary; otherwise it is off by
-    O(propagator.unitarity_defect).
+    O(propagator.unitarity_defect).  For singletons A = {a}, B = {b} that
+    block is a row vector, read from column b of U alone:
+    |U_ab| sqrt(sum_{k<a} |U_kb|^2 + sum_{k>a} |U_kb|^2).  Both sums are of
+    non-negative terms, so nothing cancels as |U_ab| -> 1, where the
+    unitary shortcut 1 - |U_ab|^2 rounds a commutator of 1e-9 to 0.
+    Larger supports take the largest eigenvalue of the |A| x |A| Gram
+    matrix of the block.
 
     The bound at time t uses the running average of a_mu up to t, i.e.
     exp(integral of a_mu over [0, t]) - 1.  A margin below
@@ -383,12 +407,20 @@ def bound_audit(
         raise ValidationError("propagator grid does not match the certificate")
 
     a, b = np.asarray(supp_a.labels), np.asarray(supp_b.labels)
-    # ||X|| from the |A| x |A| Gram matrix: eigvalsh resolves its largest
-    # eigenvalue to relative precision, however small the commutator
-    cols = propagator.unitaries[:, :, b]
-    X = cols[:, a, :] @ np.delete(cols, a, axis=1).conj().transpose(0, 2, 1)
-    gram = X @ X.conj().transpose(0, 2, 1)
-    lhs = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    if a.size == b.size == 1:
+        # column b as (labels, times), so each sum adds whole time rows
+        i, col = a[0], np.ascontiguousarray(propagator.unitaries[:, :, b[0]].T)
+        sq = col.real**2 + col.imag**2
+        rest = sq[:i].sum(axis=0) + sq[i + 1 :].sum(axis=0)
+        lhs = np.abs(col[i]) * np.sqrt(rest)
+    else:
+        # ||X|| from the |A| x |A| Gram matrix: eigvalsh resolves its
+        # largest eigenvalue to relative precision, however small the
+        # commutator
+        cols = propagator.unitaries[:, :, b]
+        X = cols[:, a, :] @ np.delete(cols, a, axis=1).conj().transpose(0, 2, 1)
+        gram = X @ X.conj().transpose(0, 2, 1)
+        lhs = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
     mu, permutation = certificate.mu, certificate.basis_permutation
     load = _a_mu_samples(H, mu, grid, permutation)

@@ -82,6 +82,16 @@ def commutator_norm(A, B, U):
     return float(np.linalg.norm(At @ B - B @ At, 2))
 
 
+def gram_block_norm(unitaries, a, b):
+    """||U[A, B] U[A^c, B]^dag|| per checkpoint for label lists a, b, as the
+    square root of the largest eigenvalue of its |A| x |A| Gram matrix: the
+    general form of the bound audit's block read-out, for any supports."""
+    cols = np.asarray(unitaries)[:, :, b]
+    X = cols[:, a, :] @ np.delete(cols, a, axis=1).conj().transpose(0, 2, 1)
+    gram = X @ X.conj().transpose(0, 2, 1)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def bisect_lambert(x, lo=0.0, hi=10.0, tol=1e-13):
     """Solve w e^w = x for w >= 0 by bisection (monotone on w >= 0)."""
     f = lambda w: w * np.exp(w) - x

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lrlab.propagation as propagation
+from lrlab.adiabatic import run_adiabatic
 from lrlab.blocks import Block
 from lrlab.errors import IntegrationError, ValidationError
 from lrlab.locality import LocalityCertificate, certify
@@ -33,6 +35,8 @@ from _oracles import (
     apply_permutation,
     commutator_norm,
     eigh_unitary_exp,
+    ensemble_params,
+    gram_block_norm,
     heisenberg,
     operator_norm,
     random_hermitian,
@@ -173,7 +177,10 @@ class _BlowUp(TimeDependentHamiltonian):
     M = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
 
     def evaluate(self, t):
-        return self.M if t <= 0.5 else self.M * np.inf
+        if t <= 0.5:
+            return self.M
+        with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, as intended
+            return self.M * np.inf
 
 
 def test_evolve_rejects_a_generator_that_turns_nonfinite():
@@ -234,6 +241,36 @@ def test_unitarity_defect_is_the_gram_norm():
     U[3, 1, 2] = np.nan
     with pytest.raises(ValidationError):
         _unitarity_defect(U)
+
+
+def test_unitarity_defect_is_computed_only_when_read(monkeypatch):
+    """Evolving (closed form and integrator), run_adiabatic and a
+    closed-form audit compute no unitarity defect; the first read computes
+    it once, later reads and the closed form's tolerance use the cache."""
+    calls = []
+
+    def counted(unitaries):
+        calls.append(len(unitaries))
+        return _unitarity_defect(unitaries)
+
+    monkeypatch.setattr(propagation, "_unitarity_defect", counted)
+    M = random_exp_local(ExpLocalSpec(9, 1.0, 1.0, seed=3))
+    H = ConstantHamiltonian(M)
+    grid = TimeGrid.uniform(2.0, 41)
+    closed = evolve_on_grid(H, grid, 1e-11)
+    bound_audit(H, Block([0]), Block([4]), certify(H, 0.5, grid), closed)
+    ramp = build_example_ramp(5.0)
+    ramp_grid = TimeGrid.uniform(5.0, 101)
+    integrated = evolve_on_grid(ramp, ramp_grid, 1e-8)
+    run_adiabatic(ramp, ramp_grid, 1e-8)
+    assert calls == []
+    first = closed.unitarity_defect
+    assert closed.unitarity_defect == first < 1e-13
+    assert closed.tolerance == 1e-11
+    assert calls == [41]
+    assert integrated.unitarity_defect < 1e-12
+    assert integrated.tolerance == 1e-8
+    assert calls == [41, 101]
 
 
 def test_refinement_defect_is_exact_where_it_reaches_tol():
@@ -501,6 +538,29 @@ def test_audit_lhs_matches_commutator_oracle(supp_a, supp_b):
     B = np.diag(np.isin(np.arange(d), supp_b)).astype(complex)
     oracle = [commutator_norm(A, B, U) for U in prop.unitaries]
     np.testing.assert_allclose(report.lhs, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_singleton_audit_matches_the_gram_form():
+    """The singleton read-out from one column of U equals the Gram form to
+    1e-13 relative, for every singleton pair of the ensemble's n=12 case at
+    every t > 0."""
+    seed, n, mu_prime = ensemble_params(5)[4]
+    assert n == 12
+    H = ConstantHamiltonian(
+        random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed))
+    )
+    grid = TimeGrid.uniform(3.0, 201)
+    cert = certify(H, mu_prime / 2.0, grid)
+    prop = evolve_on_grid(H, grid)
+    later = grid.points > 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            lhs = bound_audit(H, Block([i]), Block([j]), cert, prop).lhs
+            want = gram_block_norm(prop.unitaries, [i], [j])
+            assert np.all(want[later] > 0)
+            np.testing.assert_allclose(lhs[later], want[later], rtol=1e-13, atol=0.0)
 
 
 def test_audit_lhs_resolves_near_full_transfer():
