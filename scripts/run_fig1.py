@@ -11,24 +11,21 @@ from lrlab.experiment import ExperimentConfig, run_fig1
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="out/fig1", help="output directory")
-    ap.add_argument("--grid", type=int, default=2001, help="grid points per run")
-    ap.add_argument("--tol", type=float, default=1e-9, help="integrator tolerance")
-    ap.add_argument("--threshold", type=float, default=6e-4,
-                    help="amplitude threshold for crossing detection")
-    ap.add_argument("--T", type=float, nargs="+",
-                    default=[12.5, 25.0, 50.0, 100.0, 200.0, 400.0],
-                    help="total evolution times")
-    args = ap.parse_args()
-
-    config = ExperimentConfig(
-        T_values=tuple(args.T),
-        threshold=args.threshold,
-        grid_points=args.grid,
-        integrator_tol=args.tol,
-        output_dir=args.out,
+    # a flag that is not given sets nothing, so ExperimentConfig's default holds
+    ap = argparse.ArgumentParser(
+        description=__doc__, argument_default=argparse.SUPPRESS
     )
+    ap.add_argument("--out", dest="output_dir", metavar="OUT", default="out/fig1",
+                    help="output directory (default: out/fig1)")
+    ap.add_argument("--grid", dest="grid_points", metavar="GRID", type=int,
+                    help="grid points per run")
+    ap.add_argument("--tol", dest="integrator_tol", metavar="TOL", type=float,
+                    help="integrator tolerance")
+    ap.add_argument("--threshold", type=float,
+                    help="amplitude threshold for crossing detection")
+    ap.add_argument("--T", dest="T_values", metavar="T", type=float, nargs="+",
+                    help="total evolution times")
+    config = ExperimentConfig(**vars(ap.parse_args()))
     records, failures, paths = run_fig1(config)
 
     print(f"{'T':>8}  {'v_lr':>12}  {'delta_ad':>12}  {'gap_min':>9}")

@@ -244,7 +244,6 @@ class AdiabaticRun:
     flow: SpectralFlow
     U: Propagator
     U_ad: Propagator
-    delta_t: np.ndarray
     delta_ad_final: float
     intertwining_defect: float
 
@@ -252,7 +251,10 @@ class AdiabaticRun:
 def run_adiabatic(
     H: TimeDependentHamiltonian, grid: TimeGrid, tol: float = 1e-9
 ) -> AdiabaticRun:
-    """Flow, U and U_ad on the grid, and the errors between them.
+    """Flow, U and U_ad on the grid, the final leakage delta_ad of U
+    (``adiabatic_error``) and the intertwining defect of U_ad.  The
+    wave-operator errors delta(t) are not computed: pass the run's U, U_ad
+    and flow to ``wave_operator_errors`` for them.
 
     Warns when the measured intertwining defect exceeds 10x the integration
     tolerance, which signals insufficient grid resolution.
@@ -260,7 +262,7 @@ def run_adiabatic(
     flow = spectral_flow(H, grid)
     U = evolve_on_grid(H, grid, tol)
     U_ad = evolve_adiabatic(H, flow, tol)
-    delta_t, delta_ad = wave_operator_errors(U, U_ad, flow)
+    delta_ad = adiabatic_error(U, flow)
     defect = intertwining_defect(U_ad, flow)
     if defect > 10.0 * tol:
         warnings.warn(
@@ -273,7 +275,6 @@ def run_adiabatic(
         flow=flow,
         U=U,
         U_ad=U_ad,
-        delta_t=delta_t,
         delta_ad_final=delta_ad,
         intertwining_defect=defect,
     )

@@ -170,7 +170,8 @@ def empirical_v_lr(
     headline speed is the least-squares slope of level index against
     crossing time, and all pairwise speeds (k2 - k1) / (t2 - t1) are
     reported alongside.  The propagator's grid and ``grid`` must both be the
-    flow's.
+    flow's.  A spectrum with adjacent levels within the flow's cluster_tol
+    anywhere on the grid is refused.
     """
     _check_aligned(flow, propagator.grid, grid)
     if threshold <= 0:
@@ -179,8 +180,10 @@ def empirical_v_lr(
         raise ValidationError(
             "crossing analysis needs a nondegenerate ground state"
         )
+    # levels within the flow's cluster_tol are one level, whose per-level
+    # amplitudes depend on the basis eigh picks inside it
     spacings = np.diff(flow.eigenvalues, axis=1)
-    if np.min(spacings) <= 1e-12:
+    if np.min(spacings) <= flow.cluster_tol:
         raise ValidationError(
             "spectrum is degenerate along the path; crossing times are "
             "not well-defined"

@@ -11,11 +11,15 @@ for some rate mu > 0 and integrable a_mu(t).  The tightest such a_mu(t)
 exponential envelope |H_ij| <= h exp(-mu' |i-j|) there is a closed-form
 bound 4h / (1 - exp(mu - mu')) and an optimal rate w(e^(1+mu')) - 1 in
 terms of the product logarithm w.
+
+One kernel, ``_a_mu``, takes a_mu from the |H| stack for every reader:
+``a_mu_pointwise``, ``certify``, ``optimize_mu_generic`` and the bound's
+hypothesis check ``LocalityCertificate.understated``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,18 +38,55 @@ _SCAN_POINTS = 100
 _GOLDEN_RTOL = 1e-6
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class LocalityCertificate:
-    """Locality data for one Hamiltonian, rate mu, and basis ordering."""
+    """Locality data for one Hamiltonian, rate mu, and basis ordering.
+
+    Built from mu, the grid, the a_mu(t) samples on it and
+    basis_permutation (level i sits at label basis_permutation[i]).  It
+    keeps a read-only copy of the samples and derives the rest from them:
+    a_mu_max, the trapezoid time average a_mu_timeavg, the speeds v_lr and
+    v_lr_max (those over mu) and growth, the running trapezoid integral of
+    a_mu over [0, t], which is the bound's exponent.  A copy made by
+    ``dataclasses.replace`` with new samples carries their figures.
+    """
 
     mu: float
     grid: TimeGrid
     a_mu_samples: np.ndarray
-    a_mu_max: float
-    a_mu_timeavg: float
-    v_lr: float
-    v_lr_max: float
     basis_permutation: np.ndarray
+    a_mu_max: float = field(init=False)
+    a_mu_timeavg: float = field(init=False)
+    growth: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        samples = np.array(self.a_mu_samples, dtype=float)
+        samples.setflags(write=False)
+        # time_average refuses samples that do not match the grid
+        a_avg = time_average(samples, self.grid)
+        seg = 0.5 * (samples[1:] + samples[:-1]) * np.diff(self.grid.points)
+        growth = np.concatenate([[0.0], np.cumsum(seg)])
+        growth.setflags(write=False)
+        object.__setattr__(self, "a_mu_samples", samples)
+        object.__setattr__(self, "a_mu_max", float(samples.max()))
+        object.__setattr__(self, "a_mu_timeavg", a_avg)
+        object.__setattr__(self, "growth", growth)
+
+    @property
+    def v_lr(self) -> float:
+        return self.a_mu_timeavg / self.mu
+
+    @property
+    def v_lr_max(self) -> float:
+        return self.a_mu_max / self.mu
+
+    def understated(self, H: TimeDependentHamiltonian) -> np.ndarray:
+        """Grid indices where a_mu falls below H's locality load at mu, in
+        the certificate's basis, by more than a relative _LOAD_RTOL.  The
+        bound is proved only where a_mu bounds that load, so these points
+        fail its hypothesis."""
+        load = _a_mu(_abs_stack(H, self.grid), self.mu, self.basis_permutation)
+        return np.nonzero(self.a_mu_samples < load * (1.0 - _LOAD_RTOL))[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,22 +110,22 @@ def _abs_offdiag_and_diag(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, W
 
 
-def _label_distances(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    return np.abs(labels[:, None] - labels[None, :])
-
-
-def _loads(
-    diag: np.ndarray, off: np.ndarray, dist: np.ndarray, mu: float
-) -> np.ndarray:
-    """Per-level locality loads of a (times, d, d) stack of |H|.
+def _a_mu(stack, mu: float, permutation: np.ndarray) -> np.ndarray:
+    """a_mu at rate mu for each matrix of a (diag, off) stack of |H|, as
+    from ``_abs_offdiag_and_diag``, in the basis where level i sits at label
+    permutation[i].
 
     Pairwise terms contribute 2 |H_ij| e^(mu dist_ij) to both levels of the
     pair and singleton terms |H_ii| to their level, so level i carries
-    sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z).  dist_ij is the label
-    distance of levels i and j in the chosen basis ordering.
+    sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z), and a_mu is the max over
+    levels.  Only the label distances dist_ij = |permutation[i] -
+    permutation[j]| depend on the ordering, so no matrix is relabeled.
     """
-    return diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
+    diag, off = stack
+    labels = np.asarray(permutation)
+    dist = np.abs(labels[:, None] - labels[None, :])
+    loads = diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
+    return loads.max(axis=1, initial=0.0)
 
 
 def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
@@ -94,9 +135,8 @@ def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
     """
     if mu <= 0:
         raise ValidationError(f"mu must be positive, got {mu}")
-    diag, off = _abs_offdiag_and_diag(decomp.matrix[None])
-    loads = _loads(diag, off, _label_distances(np.arange(decomp.dimension)), mu)
-    return float(loads.max(initial=0.0))
+    stack = _abs_offdiag_and_diag(decomp.matrix[None])
+    return float(_a_mu(stack, mu, np.arange(decomp.dimension))[0])
 
 
 def _abs_stack(
@@ -104,26 +144,17 @@ def _abs_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(diag, off) of |H| on the grid, as from ``_abs_offdiag_and_diag``: the
     evaluated (times, d, d) stack, or, for a ConstantHamiltonian, its one
-    matrix as a (1, d, d) stack.  Loads taken from it broadcast over the
+    matrix as a (1, d, d) stack.  a_mu taken from it broadcasts over the
     grid either way."""
     if isinstance(H, ConstantHamiltonian):
         return _abs_offdiag_and_diag(H.matrix[None])
     return _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
 
 
-def _a_mu_samples(
-    H: TimeDependentHamiltonian,
-    mu: float,
-    grid: TimeGrid,
-    permutation: np.ndarray,
-) -> np.ndarray:
-    """a_mu(t) over the grid, in the basis where level i sits at label
-    permutation[i]: only the diameters |permutation[i] - permutation[j]|
-    depend on the ordering, and the max over levels needs no relabeled
-    matrices."""
-    diag, off = _abs_stack(H, grid)
-    loads = _loads(diag, off, _label_distances(permutation), mu).max(axis=1)
-    return np.broadcast_to(loads, grid.points.shape).copy()
+def _certificate(stack, mu: float, grid: TimeGrid, permutation) -> LocalityCertificate:
+    """The certificate at mu from a (diag, off) stack of |H| on the grid."""
+    samples = np.broadcast_to(_a_mu(stack, mu, permutation), grid.points.shape)
+    return LocalityCertificate(float(mu), grid, samples, permutation)
 
 
 def certify(
@@ -132,25 +163,15 @@ def certify(
     grid: TimeGrid,
     permutation: np.ndarray | None = None,
 ) -> LocalityCertificate:
-    """Sample a_mu(t) on the grid and assemble the LR-speed certificate."""
+    """Sample a_mu(t) on the grid, in the basis where level i sits at label
+    permutation[i] (the identity by default), and assemble the LR-speed
+    certificate."""
     if mu <= 0:
         raise ValidationError(f"mu must be positive, got {mu}")
     if permutation is None:
         permutation = np.arange(H.dimension)
     permutation = np.asarray(permutation, dtype=int)
-    samples = _a_mu_samples(H, mu, grid, permutation)
-    a_max = float(samples.max())
-    a_avg = time_average(samples, grid)
-    return LocalityCertificate(
-        mu=float(mu),
-        grid=grid,
-        a_mu_samples=samples,
-        a_mu_max=a_max,
-        a_mu_timeavg=a_avg,
-        v_lr=a_avg / mu,
-        v_lr_max=a_max / mu,
-        basis_permutation=permutation,
-    )
+    return _certificate(_abs_stack(H, grid), mu, grid, permutation)
 
 
 def exp_local_bound(h: float, mu_prime: float, mu: float) -> float:
@@ -189,20 +210,20 @@ def optimize_mu_generic(
 
     A coarse pre-scan checks that v_lr(mu) is unimodal on the range; if
     several local minima show up the scan minimum is returned instead of
-    trusting the bracketing search.
+    trusting the bracketing search.  H is evaluated on the grid once: the
+    search and the returned certificate read the same |H| stack.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (0.0 < lo < hi):
         raise ValidationError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
     permutation = np.arange(H.dimension)
-    diag, off = _abs_stack(H, grid)
-    dist = _label_distances(permutation)
+    stack = _abs_stack(H, grid)
 
     def v_of_mu(mu: float) -> float:
         # overflow to inf is deliberate; the scan check below rejects it
         with np.errstate(over="ignore"):
-            loads = _loads(diag, off, dist, mu).max(axis=1)
+            loads = _a_mu(stack, mu, permutation)
             samples = np.broadcast_to(loads, grid.points.shape)
             return time_average(samples, grid) / mu
 
@@ -220,7 +241,7 @@ def optimize_mu_generic(
     n_minima = int(np.sum((nz[:-1] < 0) & (nz[1:] > 0))) if nz.size > 1 else 0
     if n_minima > 1:
         mu_best = float(scan_mus[np.argmin(scan_vals)])
-        return mu_best, certify(H, mu_best, grid, permutation)
+        return mu_best, _certificate(stack, mu_best, grid, permutation)
 
     k = int(np.argmin(scan_vals))
     a = scan_mus[max(k - 1, 0)]
@@ -238,4 +259,4 @@ def optimize_mu_generic(
             d = a + invphi * (b - a)
             fd = v_of_mu(d)
     mu_best = float(0.5 * (a + b))
-    return mu_best, certify(H, mu_best, grid, permutation)
+    return mu_best, _certificate(stack, mu_best, grid, permutation)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .blocks import Block, block_distance
 from .errors import IntegrationError, ValidationError
-from .locality import _LOAD_RTOL, LocalityCertificate, _a_mu_samples
+from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
 from .numerics import TimeGrid, operator_norms
 
@@ -354,12 +354,6 @@ class AuditReport:
         }
 
 
-def _running_integral(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of samples against pts, starting at 0."""
-    seg = 0.5 * (samples[1:] + samples[:-1]) * np.diff(pts)
-    return np.concatenate([[0.0], np.cumsum(seg)])
-
-
 def bound_audit(
     H,
     supp_a: Block,
@@ -383,18 +377,17 @@ def bound_audit(
     Larger supports take the largest eigenvalue of the |A| x |A| Gram
     matrix of the block.
 
-    The bound at time t uses the running average of a_mu up to t, i.e.
-    exp(integral of a_mu over [0, t]) - 1.  A margin below
+    The bound at time t is the certificate's: its exponent is
+    ``certificate.growth``, the integral of a_mu over [0, t], and the
+    distance d(A, B) is measured in its basis_permutation.  A margin below
     -VIOLATION_THRESHOLD flags a violation: either an implementation bug or
     an invalid certificate, since the bound is a theorem for valid ones.
 
-    The theorem's hypothesis is checked too: H's locality load
-    max_i sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z) at the certificate's
-    mu, in its basis_permutation, must not exceed a_mu at any grid point.
-    Points where a_mu falls short of it by more than a relative 1e-12 are
-    reported as violations (``understated``) alongside the margin ones,
-    since the bound is proved only under that hypothesis.  The distance
-    d(A, B) in the bound is measured in that basis too.
+    The theorem's hypothesis is checked too: the grid points where the
+    certificate's a_mu falls below H's locality load
+    (``LocalityCertificate.understated``) are reported as violations
+    alongside the margin ones, since the bound is proved only under that
+    hypothesis.
     """
     if supp_a.intersects(supp_b):
         raise ValidationError("audit supports must be disjoint")
@@ -422,19 +415,17 @@ def bound_audit(
         gram = X @ X.conj().transpose(0, 2, 1)
         lhs = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
-    mu, permutation = certificate.mu, certificate.basis_permutation
-    load = _a_mu_samples(H, mu, grid, permutation)
-    understated = np.nonzero(certificate.a_mu_samples < load * (1.0 - _LOAD_RTOL))[0]
-
-    # level i sits at label permutation[i], the basis a_mu is certified in;
+    # level i sits at label basis_permutation[i], where a_mu is certified;
     # the projectors on the supports have norm 1
-    growth = _running_integral(certificate.a_mu_samples, grid.points)
-    rhs = lr_bound_rhs(Block(permutation[a]), Block(permutation[b]), mu, growth)
+    perm = certificate.basis_permutation
+    rhs = lr_bound_rhs(
+        Block(perm[a]), Block(perm[b]), certificate.mu, certificate.growth
+    )
 
     return AuditReport(
         times=grid.points.copy(),
         lhs=lhs,
         rhs=rhs,
         margin=rhs - lhs,
-        understated=understated,
+        understated=certificate.understated(H),
     )

@@ -5,9 +5,12 @@ evaluate interface) so that the quantities being checked are computed by a
 different code path than the implementation under test.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
+
+from lrlab.models import build_example_ramp
 
 
 def taylor_unitary_exp(A, terms=30, squarings=20):
@@ -60,6 +63,18 @@ def rk4_propagator(H, t_final, n_steps, chunk=4096):
             k3 = -1j * (B[k] @ (U + 0.5 * h * k2))
             k4 = -1j * (C[k] @ (U + h * k3))
             U = U + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return U
+
+
+@functools.cache
+def ramp_rk4_oracle():
+    """U(100, 0) of the bundled ramp at T=100 by RK4 at RK4_ORACLE_STEPS.
+
+    It takes seconds, and two test modules compare against it, so it is
+    computed once per session; the shared array is read-only.
+    """
+    U = rk4_propagator(build_example_ramp(100.0), 100.0, RK4_ORACLE_STEPS)
+    U.setflags(write=False)
     return U
 
 

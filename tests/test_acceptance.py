@@ -23,6 +23,7 @@ from lrlab.adiabatic import (
     h_ad,
     run_adiabatic,
     spectral_flow,
+    wave_operator_errors,
 )
 from lrlab.blocks import Block, pairwise_decompose
 from lrlab.locality import (
@@ -48,14 +49,13 @@ from lrlab.propagation import (
 )
 
 from _oracles import (
-    RK4_ORACLE_STEPS,
     brute_probe_sum,
     ensemble_params,
     ground_projector,
     operator_norm,
     probe_blocks,
+    ramp_rk4_oracle,
     random_anti_hermitian,
-    rk4_propagator,
     spearman,
     taylor_unitary_exp,
     tridiagonal_norm,
@@ -93,10 +93,6 @@ def ensemble():
             mu=2.0 * mu,
             grid=grid,
             a_mu_samples=cert.a_mu_samples,
-            a_mu_max=cert.a_mu_max,
-            a_mu_timeavg=cert.a_mu_timeavg,
-            v_lr=cert.a_mu_timeavg / (2.0 * mu),
-            v_lr_max=cert.a_mu_max / (2.0 * mu),
             basis_permutation=cert.basis_permutation,
         )
         pairs = [
@@ -299,7 +295,8 @@ def test_criterion_5_adiabatic_identities(adiabatic_runs):
                 ),
             ]
         )
-        delta_ok = bool(np.all(run.delta_t <= cumint + 1e-9))
+        delta_t, _ = wave_operator_errors(run.U, run.U_ad, flow)
+        delta_ok = bool(np.all(delta_t <= cumint + 1e-9))
 
         hdot = operator_norm(H.derivative(0.0))
         slope_ok = bool(np.all(hdiff <= hdot / flow.gap_min + 1e-9))
@@ -364,7 +361,7 @@ def test_criterion_7_numerical_kernels(ensemble, adiabatic_runs):
     tol = 1e-6
     H = build_example_ramp(100.0)
     prop = evolve_on_grid(H, TimeGrid.uniform(100.0, 101), tol)
-    U_rk4 = rk4_propagator(H, 100.0, RK4_ORACLE_STEPS)
+    U_rk4 = ramp_rk4_oracle()
     rk4_err = operator_norm(prop.unitaries[-1] - U_rk4)
     rk4_ok = rk4_err <= 10 * tol
 

@@ -163,6 +163,18 @@ def test_fixed_basis_variant_differs():
     assert moving.v_lr != fixed.v_lr
 
 
+def test_empirical_speed_refuses_levels_within_cluster_tol():
+    """Levels 1e-10 apart are one level to the flow (cluster_tol 1e-8), and
+    their per-level amplitudes depend on the basis eigh picks inside it."""
+    H = ConstantHamiltonian(np.diag([0.0, 1.0, 1.0 + 1e-10]))
+    grid = TimeGrid.uniform(1.0, 11)
+    flow = spectral_flow(H, grid)
+    assert flow.cluster_tol > 1e-10
+    prop = evolve_on_grid(H, grid)
+    with pytest.raises(ValidationError, match="degenerate"):
+        empirical_v_lr(H, 1.0, 1e-3, grid, flow=flow, propagator=prop)
+
+
 def test_empirical_speed_refuses_misaligned_grids():
     """The propagator's grid and the grid argument must both be the flow's:
     read against other points, the crossings would give a wrong speed."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -8,10 +9,8 @@ from lrlab.blocks import pairwise_decompose
 from lrlab.errors import NumericalError, ValidationError
 from lrlab.locality import (
     LocalityCertificate,
-    _a_mu_samples,
+    _a_mu,
     _abs_offdiag_and_diag,
-    _label_distances,
-    _loads,
     a_mu_pointwise,
     certify,
     exp_local_bound,
@@ -218,17 +217,17 @@ def test_pointwise_and_certified_loads_share_one_kernel():
 
 
 def test_constant_load_is_the_batched_load_repeated():
-    """_a_mu_samples takes a constant H's load once; it equals the load of
-    the evaluated stack at every grid point, in any basis ordering."""
+    """certify takes a constant H's load once; it equals the load of the
+    evaluated stack at every grid point, in any basis ordering."""
     M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))
     H = ConstantHamiltonian(M)
     grid = TimeGrid.uniform(2.0, 401)
     swap = np.arange(10)
     swap[[0, 9]] = [9, 0]
-    diag, off = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
+    stack = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
     for perm in (np.arange(10), swap):
-        batched = _loads(diag, off, _label_distances(perm), 0.5).max(axis=1)
-        got = _a_mu_samples(H, 0.5, grid, perm)
+        batched = _a_mu(stack, 0.5, perm)
+        got = certify(H, 0.5, grid, permutation=perm).a_mu_samples
         assert got.shape == grid.points.shape
         assert np.array_equal(got, batched)
 
@@ -253,20 +252,46 @@ def test_certificate_json_round_trip_keys():
 def test_certificate_needs_a_permutation_and_serializes():
     grid = TimeGrid.uniform(5.0, 11)
     cert = certify(build_example_ramp(5.0), 0.5, grid)
-    with pytest.raises(TypeError):
-        LocalityCertificate(
-            mu=cert.mu,
-            grid=grid,
-            a_mu_samples=cert.a_mu_samples,
-            a_mu_max=cert.a_mu_max,
-            a_mu_timeavg=cert.a_mu_timeavg,
-            v_lr=cert.v_lr,
-            v_lr_max=cert.v_lr_max,
-        )
+    with pytest.raises(TypeError, match="basis_permutation"):
+        LocalityCertificate(mu=cert.mu, grid=grid, a_mu_samples=cert.a_mu_samples)
     payload = json.loads(json.dumps(cert.to_json_dict()))
     assert payload == cert.to_json_dict()
     assert payload["basis_permutation"] == list(range(11))
     assert payload["a_mu"] == cert.a_mu_samples.tolist()
+
+
+def test_certificate_derives_its_figures_from_its_samples():
+    """A certificate built with other samples carries their figures; twice
+    the samples give exactly twice each figure, since doubling is exact in
+    binary floating point."""
+    grid = TimeGrid.uniform(5.0, 51)
+    cert = certify(build_example_ramp(5.0), 0.5, grid)
+    doubled = dataclasses.replace(cert, a_mu_samples=2.0 * cert.a_mu_samples)
+    assert doubled.a_mu_max == 2.0 * cert.a_mu_max
+    assert doubled.a_mu_timeavg == 2.0 * cert.a_mu_timeavg
+    assert doubled.v_lr == 2.0 * cert.v_lr
+    assert doubled.v_lr_max == 2.0 * cert.v_lr_max
+    assert np.array_equal(doubled.growth, 2.0 * cert.growth)
+    assert cert.growth[0] == 0.0
+    assert cert.growth[-1] == pytest.approx(cert.a_mu_timeavg * 5.0, rel=1e-12)
+
+
+def test_certificate_samples_are_a_read_only_copy():
+    grid = TimeGrid.uniform(1.0, 11)
+    samples = np.ones(11)
+    cert = LocalityCertificate(
+        mu=0.5, grid=grid, a_mu_samples=samples, basis_permutation=np.arange(3)
+    )
+    samples[0] = 5.0
+    assert cert.a_mu_samples[0] == 1.0 and cert.a_mu_max == 1.0
+    with pytest.raises(ValueError):
+        cert.a_mu_samples[0] = 5.0
+    with pytest.raises(ValueError):
+        cert.growth[-1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.a_mu_samples = samples
+    with pytest.raises(ValidationError):
+        dataclasses.replace(cert, a_mu_samples=np.ones(10))
 
 
 # -- closed forms ----------------------------------------------------------
@@ -351,6 +376,26 @@ def test_constant_optimizer_matches_the_grid_path():
         mu_o, cert_o = optimize_mu_generic(SameMatrixAtEveryTime(M), grid, mu_range)
         assert mu == mu_o
         assert np.array_equal(cert.a_mu_samples, cert_o.a_mu_samples)
+
+
+def test_optimizer_evaluates_h_on_the_grid_once(monkeypatch):
+    """The search and the returned certificate read one evaluated stack;
+    that certificate is certify's at the chosen mu."""
+    H = build_example_ramp(12.5)
+    grid = TimeGrid.uniform(12.5, 401)
+    calls = []
+    evaluate_batch = type(H).evaluate_batch
+
+    def counting(self, ts):
+        calls.append(len(ts))
+        return evaluate_batch(self, ts)
+
+    monkeypatch.setattr(type(H), "evaluate_batch", counting)
+    mu, cert = optimize_mu_generic(H, grid, (0.05, 5.0))
+    assert calls == [401]
+    monkeypatch.undo()
+    expected = certify(H, mu, grid)
+    assert cert.to_json_dict() == expected.to_json_dict()
 
 
 def test_optimizer_unimodal_on_example_ramp():

@@ -31,7 +31,6 @@ from lrlab.propagation import (
 )
 
 from _oracles import (
-    RK4_ORACLE_STEPS,
     apply_permutation,
     commutator_norm,
     eigh_unitary_exp,
@@ -39,9 +38,9 @@ from _oracles import (
     gram_block_norm,
     heisenberg,
     operator_norm,
+    ramp_rk4_oracle,
     random_hermitian,
     random_unitary,
-    rk4_propagator,
     taylor_unitary_exp,
 )
 
@@ -73,8 +72,8 @@ def test_zero_hamiltonian_identity():
 
 def test_ramp_matches_rk4_oracle(ramp_prop):
     """Independent 4th-order integration at a fixed fine step."""
-    H, prop = ramp_prop
-    U_rk4 = rk4_propagator(H, 100.0, RK4_ORACLE_STEPS)
+    _, prop = ramp_prop
+    U_rk4 = ramp_rk4_oracle()
     assert operator_norm(prop.unitaries[-1] - U_rk4) <= 10 * prop.tolerance
 
 
@@ -472,10 +471,6 @@ def test_audit_flags_grossly_understated_certificate():
         mu=cert.mu,
         grid=grid,
         a_mu_samples=cert.a_mu_samples / 500.0,
-        a_mu_max=cert.a_mu_max / 500.0,
-        a_mu_timeavg=cert.a_mu_timeavg / 500.0,
-        v_lr=cert.v_lr / 500.0,
-        v_lr_max=cert.v_lr_max / 500.0,
         basis_permutation=cert.basis_permutation,
     )
     report = bound_audit(
@@ -607,7 +602,8 @@ def test_audit_measures_distance_in_the_certified_basis():
 
 def test_audit_rhs_is_lr_bound_rhs_in_the_certified_basis():
     """bound_audit's rhs is lr_bound_rhs on the supports relabeled into the
-    certificate's basis, with the running integral of a_mu as growth."""
+    certificate's basis, with the running integral of a_mu as growth: the
+    certificate's growth, bit for bit."""
     M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))
     swap = np.arange(10)
     swap[[0, 9]] = [9, 0]
@@ -621,6 +617,9 @@ def test_audit_rhs_is_lr_bound_rhs_in_the_certified_basis():
     # level 0 sits at label 9, two labels from level 7
     want = lr_bound_rhs(Block([9]), Block([7]), 0.5, growth)
     np.testing.assert_allclose(report.rhs, want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(
+        report.rhs, lr_bound_rhs(Block([9]), Block([7]), 0.5, cert.growth)
+    )
     assert want[-1] == pytest.approx(2.0 * np.exp(-1.0) * np.expm1(growth[-1]))
 
 

@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+from lrlab.experiment import ExperimentConfig
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -25,3 +27,33 @@ def test_ensemble_audit_script_reports_every_seed(monkeypatch, capsys):
     seeds = [re.match(r"seed=\s*(\d+) ", line) for line in lines]
     assert [int(m.group(1)) for m in seeds if m] == [0, 1, 2]
     assert "cases with violations: 0/3" in lines
+
+
+def test_fig1_script_overrides_only_the_flags_given(monkeypatch, capsys, tmp_path):
+    script = _load("run_fig1")
+    configs = []
+    run_fig1 = script.run_fig1
+
+    def recording(config):
+        configs.append(config)
+        return run_fig1(config)
+
+    monkeypatch.setattr(script, "run_fig1", recording)
+    monkeypatch.setattr(
+        sys,
+        "argv",
+        ["run_fig1.py", "--T", "12.5", "25", "--grid", "401", "--out", str(tmp_path)],
+    )
+    assert script.main() == 0
+    assert len((tmp_path / "fig1.csv").read_text().splitlines()) == 3
+    rows = [
+        line.split()[0]
+        for line in capsys.readouterr().out.splitlines()
+        if re.match(r"\s*\d", line)
+    ]
+    assert rows == ["12.5", "25"]
+    (config,) = configs
+    default = ExperimentConfig()
+    assert (config.T_values, config.grid_points) == ((12.5, 25.0), 401)
+    assert config.threshold == default.threshold
+    assert config.integrator_tol == default.integrator_tol
