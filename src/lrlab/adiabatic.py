@@ -39,15 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GapClosureError,
-    IllConditionedError,
-    LevelCrossingError,
-    ValidationError,
-)
+from .errors import GapClosureError, IllConditionedError, LevelCrossingError
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
-from .numerics import TimeGrid, operator_norms
+from .numerics import TimeGrid, check_aligned, operator_norms
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -124,12 +119,6 @@ def _check_derivative_gap(gap: np.ndarray, ts: np.ndarray) -> None:
         )
 
 
-def _check_aligned(flow: SpectralFlow, *grids: TimeGrid) -> None:
-    """Refuse any grid whose points are not the flow's."""
-    if any(not np.array_equal(g.points, flow.grid.points) for g in grids):
-        raise ValidationError("grid does not align with the flow's grid")
-
-
 def _excited_ground(V: np.ndarray, W: np.ndarray, VG: np.ndarray) -> np.ndarray:
     """The block V_E^dag W V_G, batched over leading axes: V_G the given
     ground columns, V_E the columns of the frames V past the first |G|."""
@@ -196,7 +185,7 @@ def intertwining_defect(U_ad: Propagator, flow: SpectralFlow) -> float:
     unitary U_ad; otherwise it is off by O(unitarity_defect).  It is
     invariant under phases and under rotations inside degenerate levels.
     """
-    _check_aligned(flow, U_ad.grid)
+    check_aligned(flow.grid, U_ad.grid)
     ground = flow.basis[0][:, : flow.ground_dim]
     leak = _excited_ground(flow.basis, U_ad.unitaries, ground)
     return float(operator_norms(leak).max())
@@ -222,7 +211,7 @@ def adiabatic_error(U: Propagator, flow: SpectralFlow) -> float:
     otherwise it is off by O(unitarity_defect).  It is invariant under
     phases and under rotations inside degenerate levels.
     """
-    _check_aligned(flow, U.grid)
+    check_aligned(flow.grid, U.grid)
     ground = flow.basis[0][:, : flow.ground_dim]
     leak = _excited_ground(flow.basis[-1], U.unitaries[-1], ground)
     return float(np.sum(np.abs(leak) ** 2) / flow.ground_dim)
@@ -232,7 +221,7 @@ def wave_operator_errors(
     U: Propagator, U_ad: Propagator, flow: SpectralFlow
 ) -> tuple[np.ndarray, float]:
     """delta(t) = ||1 - U_ad^dag U|| per checkpoint, plus delta_ad(T)."""
-    _check_aligned(flow, U.grid, U_ad.grid)
+    check_aligned(flow.grid, U.grid, U_ad.grid)
     omega = U_ad.unitaries.conj().transpose(0, 2, 1) @ U.unitaries
     return operator_norms(np.eye(U.dimension) - omega), adiabatic_error(U, flow)
 

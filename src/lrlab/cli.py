@@ -96,10 +96,20 @@ def _certificate_for(config, H, grid):
     return optimize_mu_generic(H, grid, DEFAULT_MU_RANGE)[1]
 
 
+def _emit(args, name: str, payload: dict) -> None:
+    """Print the payload as JSON and, with --out, write the same text to
+    <out>/<name>.json."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    if args.output_dir is not None:
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{name}.json").write_text(text + "\n")
+
+
 def _cmd_decompose(args) -> int:
     config = _load_config(args)
-    T = config.T_values[0]
-    H = config.build_hamiltonian(T)
+    T, H, _ = _first_run(config)
     for label, t in (("t = 0", 0.0), (f"t = T = {T:g}", T)):
         mat = H.evaluate(t)
         decomp = pairwise_decompose(mat)
@@ -116,13 +126,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_locality(args) -> int:
     config = _load_config(args)
     _, H, grid = _first_run(config)
-    cert = _certificate_for(config, H, grid)
-    payload = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
-    print(payload)
-    if args.output_dir is not None:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "locality.json").write_text(payload + "\n")
+    _emit(args, "locality", _certificate_for(config, H, grid).to_json_dict())
     return EXIT_OK
 
 
@@ -134,15 +138,9 @@ def _cmd_bound_check(args) -> int:
     cert = _certificate_for(config, H, grid)
     tol = args.integrator_tol if args.integrator_tol is not None else 1e-11
     report = bound_audit(H, supp_a, supp_b, cert, evolve_on_grid(H, grid, tol))
-    summary = report.to_json_summary()
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit(args, "bound_check", report.to_json_summary())
     if args.output_dir is not None:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report.to_csv(out / "bound_check.csv")
-        (out / "bound_check.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
+        report.to_csv(Path(args.output_dir) / "bound_check.csv")
     return EXIT_VIOLATION if report.has_violations else EXIT_OK
 
 
@@ -193,12 +191,7 @@ def _cmd_adiabatic(args) -> int:
         "intertwining_defect": run.intertwining_defect,
         **report.to_json_dict(),
     }
-    payload = json.dumps(summary, indent=2, sort_keys=True)
-    print(payload)
-    if args.output_dir is not None:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "adiabatic.json").write_text(payload + "\n")
+    _emit(args, "adiabatic", summary)
     return EXIT_OK
 
 

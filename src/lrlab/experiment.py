@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .adiabatic import SpectralFlow, _check_aligned, adiabatic_error, spectral_flow
+from .adiabatic import SpectralFlow, adiabatic_error, spectral_flow
 from .errors import InsufficientCrossingsError, LrlabError, ValidationError
 from .models import (
     ConstantHamiltonian,
@@ -27,7 +27,7 @@ from .models import (
     TimeDependentHamiltonian,
     build_example_ramp,
 )
-from .numerics import TimeGrid
+from .numerics import TimeGrid, check_aligned
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_THRESHOLD = 6e-4
@@ -173,7 +173,7 @@ def empirical_v_lr(
     flow's.  A spectrum with adjacent levels within the flow's cluster_tol
     anywhere on the grid is refused.
     """
-    _check_aligned(flow, propagator.grid, grid)
+    check_aligned(flow.grid, propagator.grid, grid)
     if threshold <= 0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     if flow.ground_dim != 1:

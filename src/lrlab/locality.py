@@ -32,7 +32,7 @@ from .numerics import TimeGrid, lambert_w, time_average
 # guards the exact equality case (a certificate audited against its own H)
 # against FP noise
 _LOAD_RTOL = 1e-12
-# optimize_mu_generic: points of the unimodality pre-scan, and the relative
+# optimize_mu_generic: points of the bracketing pre-scan, and the relative
 # width at which the golden-section bracket stops
 _SCAN_POINTS = 100
 _GOLDEN_RTOL = 1e-6
@@ -43,12 +43,13 @@ class LocalityCertificate:
     """Locality data for one Hamiltonian, rate mu, and basis ordering.
 
     Built from mu, the grid, the a_mu(t) samples on it and
-    basis_permutation (level i sits at label basis_permutation[i]).  It
-    keeps a read-only copy of the samples and derives the rest from them:
-    a_mu_max, the trapezoid time average a_mu_timeavg, the speeds v_lr and
-    v_lr_max (those over mu) and growth, the running trapezoid integral of
-    a_mu over [0, t], which is the bound's exponent.  A copy made by
-    ``dataclasses.replace`` with new samples carries their figures.
+    basis_permutation (level i sits at label basis_permutation[i]), which
+    must be a permutation of range(dimension).  It keeps a read-only copy
+    of the samples and derives the rest from them: a_mu_max, the trapezoid
+    time average a_mu_timeavg, the speeds v_lr and v_lr_max (those over mu)
+    and growth, the running trapezoid integral of a_mu over [0, t], which
+    is the bound's exponent.  A copy made by ``dataclasses.replace`` with
+    new samples carries their figures.
     """
 
     mu: float
@@ -60,6 +61,10 @@ class LocalityCertificate:
     growth: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        perm = np.asarray(self.basis_permutation)
+        # sorted, not np.sort: numpy's sort kernels would add 0.4 MiB of RSS
+        if perm.ndim != 1 or sorted(perm.tolist()) != list(range(perm.size)):
+            raise ValidationError("basis_permutation is not a permutation")
         samples = np.array(self.a_mu_samples, dtype=float)
         samples.setflags(write=False)
         # time_average refuses samples that do not match the grid
@@ -84,7 +89,9 @@ class LocalityCertificate:
         """Grid indices where a_mu falls below H's locality load at mu, in
         the certificate's basis, by more than a relative _LOAD_RTOL.  The
         bound is proved only where a_mu bounds that load, so these points
-        fail its hypothesis."""
+        fail its hypothesis.  An H of another dimension is refused."""
+        if H.dimension != len(self.basis_permutation):
+            raise ValidationError("certificate and H differ in dimension")
         load = _a_mu(_abs_stack(H, self.grid), self.mu, self.basis_permutation)
         return np.nonzero(self.a_mu_samples < load * (1.0 - _LOAD_RTOL))[0]
 
@@ -165,12 +172,14 @@ def certify(
 ) -> LocalityCertificate:
     """Sample a_mu(t) on the grid, in the basis where level i sits at label
     permutation[i] (the identity by default), and assemble the LR-speed
-    certificate."""
+    certificate.  A permutation that is not one of H's levels is refused."""
     if mu <= 0:
         raise ValidationError(f"mu must be positive, got {mu}")
     if permutation is None:
         permutation = np.arange(H.dimension)
     permutation = np.asarray(permutation, dtype=int)
+    if permutation.shape != (H.dimension,):
+        raise ValidationError(f"permutation does not fit dimension {H.dimension}")
     return _certificate(_abs_stack(H, grid), mu, grid, permutation)
 
 
@@ -208,10 +217,15 @@ def optimize_mu_generic(
 ) -> tuple[float, LocalityCertificate]:
     """Minimize v_lr(mu) over [lo, hi] by golden-section search.
 
-    A coarse pre-scan checks that v_lr(mu) is unimodal on the range; if
-    several local minima show up the scan minimum is returned instead of
-    trusting the bracketing search.  H is evaluated on the grid once: the
-    search and the returned certificate read the same |H| stack.
+    v_lr(mu) = f(mu) / mu has a single minimum on mu > 0: f, the trapezoid
+    time average of the max over levels of diag_i + 2 sum_j |H_ij|
+    e^(mu dist_ij), is a non-negative-weighted sum of maxima of convex
+    functions, so it is convex and non-negative, and the sublevel sets
+    {f(mu) <= c mu} of f / mu are intervals (f / mu is quasiconvex).  A
+    coarse scan of _SCAN_POINTS values brackets that minimum between the
+    neighbours of the scan's best point, and the golden-section search
+    narrows the bracket.  H is evaluated on the grid once: the search and
+    the returned certificate read the same |H| stack.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (0.0 < lo < hi):
@@ -234,14 +248,6 @@ def optimize_mu_generic(
             "v_lr(mu) is nonfinite on the requested range; "
             "reduce hi or check the Hamiltonian entries"
         )
-
-    # count strict sign changes of the discrete slope from - to +
-    slopes = np.sign(np.diff(scan_vals))
-    nz = slopes[slopes != 0]
-    n_minima = int(np.sum((nz[:-1] < 0) & (nz[1:] > 0))) if nz.size > 1 else 0
-    if n_minima > 1:
-        mu_best = float(scan_mus[np.argmin(scan_vals)])
-        return mu_best, _certificate(stack, mu_best, grid, permutation)
 
     k = int(np.argmin(scan_vals))
     a = scan_mus[max(k - 1, 0)]

@@ -1,8 +1,9 @@
 """Time-dependent Hamiltonian families.
 
 Two schedule variants cover everything in scope: a constant matrix and a
-linear interpolation (1 - t/T) H_i + (t/T) H_f.  Both evaluate with an
-analytic time derivative.  A seeded generator produces random Hermitian
+linear interpolation (1 - t/T) H_i + (t/T) H_f.  Both evaluate, with an
+analytic time derivative, in batch form only (see
+``TimeDependentHamiltonian``).  A seeded generator produces random Hermitian
 matrices with entries confined to an exponential decay envelope
 |H_ij| <= h exp(-mu' |i - j|).
 """
@@ -18,25 +19,37 @@ from .errors import ValidationError
 
 
 class TimeDependentHamiltonian:
-    """Common interface: evaluate(t), derivative(t), dimension, and their
-    stacked forms evaluate_batch(ts), derivative_batch(ts)."""
+    """Common interface: dimension, the stacked forms evaluate_batch(ts) and
+    derivative_batch(ts), shape (len(ts), dim, dim), and the per-time forms
+    evaluate(t) and derivative(t).
+
+    A subclass defines either form of each quantity and inherits the other:
+    the per-time form is the batch form at [t], and the batch form stacks
+    the per-time form.  The bundled models define only the batch forms.
+    derivative_batch may return a read-only view; derivative(t) returns a
+    copy.
+    """
 
     dimension: int
 
     def evaluate(self, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return self.evaluate_batch(np.array([t], dtype=float))[0]
 
     def derivative(self, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return self.derivative_batch(np.array([t], dtype=float))[0].copy()
 
     def evaluate_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Stacked evaluation, shape (len(ts), dim, dim)."""
-        return np.stack([self.evaluate(t) for t in np.asarray(ts)])
+        return self._stacked("evaluate", ts)
 
     def derivative_batch(self, ts: np.ndarray) -> np.ndarray:
-        """Stacked derivative, shape (len(ts), dim, dim); may be a
-        read-only view."""
-        return np.stack([self.derivative(t) for t in np.asarray(ts)])
+        return self._stacked("derivative", ts)
+
+    def _stacked(self, name: str, ts: np.ndarray) -> np.ndarray:
+        """The per-time form `name` stacked over ts; a subclass that defines
+        neither form of the quantity gets NotImplementedError, not a loop."""
+        if getattr(type(self), name) is getattr(TimeDependentHamiltonian, name):
+            raise NotImplementedError(f"{type(self).__name__} defines no {name}")
+        return np.stack([getattr(self, name)(t) for t in np.asarray(ts)])
 
 
 @dataclass(eq=False)
@@ -46,12 +59,6 @@ class ConstantHamiltonian(TimeDependentHamiltonian):
     def __post_init__(self):
         self.matrix = _check_hermitian(self.matrix)
         self.dimension = self.matrix.shape[0]
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.matrix.copy()
-
-    def derivative(self, t: float) -> np.ndarray:
-        return np.zeros_like(self.matrix)
 
     def evaluate_batch(self, ts: np.ndarray) -> np.ndarray:
         n = np.asarray(ts).size
@@ -81,33 +88,20 @@ class LinearInterpolationHamiltonian(TimeDependentHamiltonian):
             )
         self.dimension = self.h_initial.shape[0]
 
-    def _check_t(self, t) -> None:
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.total_time * (1 + 1e-12)):
-            raise ValidationError(
-                f"t must lie in [0, {self.total_time}], got {t}"
-            )
-
-    def evaluate(self, t: float) -> np.ndarray:
-        self._check_t(t)
-        s = t / self.total_time
-        return (1.0 - s) * self.h_initial + s * self.h_final
-
-    def derivative(self, t: float) -> np.ndarray:
-        self._check_t(t)
-        return (self.h_final - self.h_initial) / self.total_time
+    def _times(self, ts) -> np.ndarray:
+        """ts as a float array, refused unless it lies in [0, T]."""
+        ts = np.asarray(ts, dtype=float)
+        if np.any(ts < 0) or np.any(ts > self.total_time * (1 + 1e-12)):
+            raise ValidationError(f"t must lie in [0, {self.total_time}], got {ts}")
+        return ts
 
     def evaluate_batch(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        self._check_t(ts)
-        s = (ts / self.total_time)[:, None, None]
+        s = (self._times(ts) / self.total_time)[:, None, None]
         return (1.0 - s) * self.h_initial[None] + s * self.h_final[None]
 
     def derivative_batch(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        self._check_t(ts)
         slope = (self.h_final - self.h_initial) / self.total_time
-        return np.broadcast_to(slope, (ts.size, *slope.shape))
+        return np.broadcast_to(slope, (self._times(ts).size, *slope.shape))
 
 
 def build_example_ramp(total_time: float) -> LinearInterpolationHamiltonian:

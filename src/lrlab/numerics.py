@@ -40,6 +40,13 @@ class TimeGrid:
         return int(self.points.size)
 
 
+def check_aligned(grid: TimeGrid, *others: TimeGrid) -> None:
+    """Refuse any of the other grids whose points are not grid's: quantities
+    sampled on different points must not be read against each other."""
+    if any(not np.array_equal(g.points, grid.points) for g in others):
+        raise ValidationError("time grids do not align")
+
+
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (n, rows, cols) stack."""
     stack = np.asarray(stack)

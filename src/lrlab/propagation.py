@@ -23,7 +23,8 @@ H2 = H(t + (1/2 + sqrt(3)/6) h),
   bit and the step is the kernel's exp(-i h H).
 
 The number of substeps per grid interval doubles until two successive
-refinements agree to the requested tolerance at every checkpoint.
+refinements agree to the requested tolerance at every checkpoint, and stops
+with an IntegrationError once refining no longer lowers their difference.
 
 A ConstantHamiltonian skips the integrator: U(t) = V e^(-i t w) V^dag
 from one eigh of H = V diag(w) V^dag serves every checkpoint, with U(0)
@@ -54,12 +55,15 @@ from .blocks import Block, block_distance
 from .errors import IntegrationError, ValidationError
 from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
-from .numerics import TimeGrid, operator_norms
+from .numerics import TimeGrid, check_aligned, operator_norms
 
 # substeps processed per vectorized batch (memory/speed tradeoff)
 _BATCH_SUBSTEPS = 16384
 # running product re-orthonormalized every this many grid intervals
 _POLAR_EVERY = 256
+# the halving loop also stops once the smallest refinement defect seen, if
+# below this floor, survives two more levels
+_STALL_FLOOR = 1e-6
 # Gauss nodes of a substep [t, t + h] at t + (1/2 -+ sqrt(3)/6) h, and the
 # coefficient of the commutator term of the fourth-order Magnus generator
 _GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
@@ -192,34 +196,34 @@ def _magnus_steps(H, starts: np.ndarray, hs: np.ndarray) -> np.ndarray:
 
 def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
     """Propagator checkpoints with m fourth-order Magnus substeps per grid
-    interval, each the exponential of the Gauss-point generator M."""
+    interval, each the exponential of the Gauss-point generator M.
+
+    Substep k of interval g is the flat substep s = g m + k.  The substeps
+    are taken in batches of _BATCH_SUBSTEPS, and each batch is composed into
+    factors of min(m, _BATCH_SUBSTEPS) substeps: whole intervals, or, for
+    m > _BATCH_SUBSTEPS, pieces of one.  Both are powers of two, so no
+    factor straddles an interval end.  The running product stores a checkpoint at
+    every interval end and is re-orthonormalized every _POLAR_EVERY of them.
+    """
     pts = grid.points
     d = H.dimension
-    n_int = len(pts) - 1
+    widths = np.diff(pts)
+    total = widths.size * m
+    per_factor = min(m, _BATCH_SUBSTEPS)
     out = np.empty((len(pts), d, d), dtype=complex)
     out[0] = np.eye(d)
     U = np.eye(d, dtype=complex)
-
-    # a block is several whole intervals in one chunk of substeps, or, for
-    # m > _BATCH_SUBSTEPS, one interval in several chunks
-    per_block = max(1, _BATCH_SUBSTEPS // m)
-    chunk = min(m, _BATCH_SUBSTEPS)
-    for g0 in range(0, n_int, per_block):
-        g1 = min(n_int, g0 + per_block)
-        widths = pts[g0 + 1 : g1 + 1] - pts[g0:g1]
-        chunk_props = []
-        for s0 in range(0, m, chunk):
-            s1 = min(m, s0 + chunk)
-            starts = pts[g0:g1, None] + (np.arange(s0, s1) / m) * widths[:, None]
-            hs = np.repeat(widths / m, s1 - s0)
-            steps = _magnus_steps(H, starts.ravel(), hs)
-            chunk_props.append(_compose(steps.reshape(g1 - g0, s1 - s0, d, d)))
-        for k, g in enumerate(range(g0, g1)):
-            for props in chunk_props:
-                U = props[k] @ U
-            if (g + 1) % _POLAR_EVERY == 0:
+    for s0 in range(0, total, _BATCH_SUBSTEPS):
+        g, k = np.divmod(np.arange(s0, min(total, s0 + _BATCH_SUBSTEPS)), m)
+        steps = _magnus_steps(H, pts[g] + (k / m) * widths[g], widths[g] / m)
+        factors = _compose(steps.reshape(-1, per_factor, d, d))
+        for f, factor in enumerate(factors, start=s0 // per_factor + 1):
+            U = factor @ U
+            end = f * per_factor  # flat index just past the factor
+            if end % (m * _POLAR_EVERY) == 0:
                 U = _reunitarize(U)
-            out[g + 1] = U
+            if end % m == 0:
+                out[end // m] = U
     return out
 
 
@@ -260,8 +264,16 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     Any other H is integrated: each grid interval takes m fourth-order
     Magnus substeps at the Gauss points (see the module docstring).  m
     doubles from 1 until the checkpoints of two successive refinements
-    differ by less than tol in operator norm at every grid point (at most
-    20 halvings).  step is then the widest grid interval over the accepted m.
+    differ by less than tol in operator norm at every grid point.  step is
+    then the widest grid interval over the accepted m.
+
+    Refinement that stops paying raises IntegrationError, whose defect is
+    the smallest refinement defect reached: after 20 halvings, or as soon
+    as two successive levels fail to beat that smallest defect while it is
+    below 1e-6.  A tol below the rounding floor thus fails within a few
+    levels of reaching it, not after 20 doublings of the cost.  The floor
+    keeps the stop out of the pre-asymptotic regime, where the defects of
+    a stiff H are O(1) and rise and fall before they converge.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -274,7 +286,7 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         return Propagator(grid=grid, unitaries=unitaries, step=0.0, tolerance=tol)
     m = 1
     prev = _checkpoints_fixed(H, grid, m)
-    diff = np.inf
+    best, stalls = np.inf, 0
     for _ in range(20):
         m *= 2
         cur = _checkpoints_fixed(H, grid, m)
@@ -282,11 +294,14 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         if diff < tol:
             width = float(np.max(np.diff(grid.points)))
             return Propagator(grid=grid, unitaries=cur, step=width / m, tolerance=tol)
+        best, stalls = (diff, 0) if diff < best else (best, stalls + 1)
+        if stalls == 2 and best < _STALL_FLOOR:
+            break
         prev = cur
     raise IntegrationError(
-        f"propagator did not converge to {tol} after 20 step halvings "
-        f"(last defect {diff:.3e})",
-        defect=diff,
+        f"propagator did not converge to tol {tol:.3e}: the smallest "
+        f"refinement defect in {m.bit_length() - 1} step halvings was {best:.3e}",
+        defect=best,
     )
 
 
@@ -395,9 +410,11 @@ def bound_audit(
     if supp_a.labels[-1] >= d or supp_b.labels[-1] >= d:
         raise ValidationError("support labels exceed the Hamiltonian dimension")
 
+    understated = certificate.understated(H)  # refuses another dimension
+    if propagator.dimension != d:
+        raise ValidationError("propagator and H differ in dimension")
     grid = certificate.grid
-    if not np.array_equal(propagator.grid.points, grid.points):
-        raise ValidationError("propagator grid does not match the certificate")
+    check_aligned(grid, propagator.grid)
 
     a, b = np.asarray(supp_a.labels), np.asarray(supp_b.labels)
     if a.size == b.size == 1:
@@ -427,5 +444,5 @@ def bound_audit(
         lhs=lhs,
         rhs=rhs,
         margin=rhs - lhs,
-        understated=certificate.understated(H),
+        understated=understated,
     )

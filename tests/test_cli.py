@@ -180,6 +180,21 @@ def test_adiabatic_summary(small_cfg_file, tmp_path, capsys):
     assert saved == payload
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["locality"], "locality"),
+        (["bound-check", "--supp-a", "0", "--supp-b", "5,6"], "bound_check"),
+        (["adiabatic"], "adiabatic"),
+    ],
+)
+def test_out_json_is_the_printed_json(argv, name, small_cfg_file, tmp_path, capsys):
+    out = tmp_path / "emit"
+    argv = argv + ["--config", str(small_cfg_file), "--mu", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / f"{name}.json").read_text() == capsys.readouterr().out
+
+
 def test_fig1_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab.blocks import pairwise_decompose
 from lrlab.errors import NumericalError, ValidationError
@@ -20,6 +22,7 @@ from lrlab.locality import (
 from lrlab.models import (
     ConstantHamiltonian,
     ExpLocalSpec,
+    LinearInterpolationHamiltonian,
     TimeDependentHamiltonian,
     build_example_ramp,
     random_exp_local,
@@ -294,6 +297,38 @@ def test_certificate_samples_are_a_read_only_copy():
         dataclasses.replace(cert, a_mu_samples=np.ones(10))
 
 
+def test_certificate_refuses_a_basis_order_that_is_no_permutation():
+    """With every level at label 0 every distance would read 0, and a_mu
+    would fall 3.80 -> 2.20 here; such an order, one with a label missing
+    or one of another dimension is refused by certify and by the
+    certificate itself."""
+    H = ConstantHamiltonian(random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0)))
+    grid = TimeGrid.uniform(1.0, 5)
+    cert = certify(H, 0.5, grid)
+    repeated = np.arange(10)
+    repeated[9] = 8
+    for bad in (np.zeros(10, int), repeated, np.arange(1, 11)):
+        with pytest.raises(ValidationError, match="permutation"):
+            certify(H, 0.5, grid, permutation=bad)
+        with pytest.raises(ValidationError, match="permutation"):
+            dataclasses.replace(cert, basis_permutation=bad)
+    for bad in (np.arange(5), np.arange(10).reshape(2, 5)):
+        with pytest.raises(ValidationError, match="dimension"):
+            certify(H, 0.5, grid, permutation=bad)
+
+
+def test_understated_refuses_an_h_of_another_dimension():
+    grid = TimeGrid.uniform(1.0, 5)
+    cert = certify(
+        ConstantHamiltonian(random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))),
+        0.5,
+        grid,
+    )
+    other = ConstantHamiltonian(random_exp_local(ExpLocalSpec(8, 1.0, 1.0, seed=0)))
+    with pytest.raises(ValidationError, match="dimension"):
+        cert.understated(other)
+
+
 # -- closed forms ----------------------------------------------------------
 
 
@@ -411,6 +446,32 @@ def test_optimizer_unimodal_on_example_ramp():
     assert n_minima <= 1
     mu_opt, cert = optimize_mu_generic(H, grid, (0.05, 5.0))
     assert cert.v_lr <= min(vals) + 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2**32 - 2),
+    st.integers(2, 9),
+    st.floats(0.2, 3.0),
+    st.floats(0.1, 20.0),
+)
+def test_v_lr_has_at_most_one_local_minimum(seed, n, mu_prime, T):
+    """v_lr(mu) = f(mu) / mu with f convex and non-negative has a single
+    minimum, which optimize_mu_generic relies on: over random envelope
+    matrices, basis orders and linear ramps between two of them, 100 values
+    on [0.05, 5] have at most one strict local minimum."""
+    H = LinearInterpolationHamiltonian(
+        random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed)),
+        random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed + 1)),
+        T,
+    )
+    perm = np.random.default_rng(seed).permutation(n)
+    grid = TimeGrid.uniform(T, 11)
+    vals = np.array(
+        [certify(H, mu, grid, perm).v_lr for mu in np.linspace(0.05, 5.0, 100)]
+    )
+    inner = vals[1:-1]
+    assert np.sum((inner < vals[:-2]) & (inner < vals[2:])) <= 1
 
 
 def test_optimizer_monotone_case_returns_hi():

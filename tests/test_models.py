@@ -95,6 +95,23 @@ def test_evaluate_batch_matches_pointwise():
         np.testing.assert_allclose(batch[k], H.evaluate(t), atol=1e-15)
 
 
+def test_per_time_forms_are_rows_of_the_batch_forms():
+    """The bundled models define only the batch forms.  derivative(t) is a
+    writable copy of the ramp's read-only batch view, and a subclass that
+    defines neither form of a quantity is told so instead of looping."""
+    H = build_example_ramp(5.0)
+    assert not H.derivative_batch([1.0]).flags.writeable
+    D = H.derivative(1.0)
+    assert np.array_equal(D, H.derivative_batch([1.0])[0])
+    D[0, 0] = 7.0
+    assert H.derivative(1.0)[0, 0] != 7.0
+    assert np.array_equal(H.evaluate(2.5), H.evaluate_batch([2.5])[0])
+    with pytest.raises(NotImplementedError, match="evaluate"):
+        TimeDependentHamiltonian().evaluate(0.0)
+    with pytest.raises(NotImplementedError, match="derivative"):
+        TimeDependentHamiltonian().derivative_batch([0.0])
+
+
 class _RampWithoutBatchDerivative(TimeDependentHamiltonian):
     """Only the pointwise interface, so the base-class stacking runs."""
 

@@ -330,6 +330,71 @@ def test_nonconvergence_raises():
     assert err.value.defect is not None
 
 
+def test_nonconvergence_stops_once_refinement_stalls(monkeypatch):
+    """Below the rounding floor the defects stop falling; the ladder stops
+    two levels after its smallest defect, not after 20 halvings."""
+    calls = []
+
+    def counted(H, grid, m):
+        calls.append(m)
+        return _checkpoints_fixed(H, grid, m)
+
+    monkeypatch.setattr(propagation, "_checkpoints_fixed", counted)
+    H = LinearInterpolationHamiltonian(
+        np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]]), 0.1
+    )
+    with pytest.raises(IntegrationError):
+        evolve_on_grid(H, TimeGrid.uniform(0.1, 2), 1e-25)
+    assert len(calls) <= 14
+
+
+def test_stalled_refinement_names_its_floor_and_the_tol():
+    """tol 1e-14 on the bundled ramp sits at the rounding floor: the
+    defects go 2.0e-14, 1.2e-14, 1.9e-13, 1.8e-13, ... and the error names
+    the smallest of them next to the tol asked for."""
+    with pytest.raises(IntegrationError) as err:
+        evolve_on_grid(build_example_ramp(12.5), TimeGrid.uniform(12.5, 2001), 1e-14)
+    defect = err.value.defect
+    assert 1e-14 < defect < 1e-13
+    assert "1.000e-14" in str(err.value)
+    assert f"{defect:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("scale, m", [(20.0, 2048), (200.0, 8192), (2000.0, 65536)])
+def test_stiff_refinement_is_not_taken_for_a_stall(scale, m):
+    """Before the asymptotic regime the defects are O(1) and not monotone
+    (1.1, 1.6, 1.7, 1.9, 1.6, 0.14, ... at scale 200); above its floor the
+    stall stop does not act, and these converge at the m they always did.
+    At scale 2000, m exceeds a batch, so intervals are split."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    H = LinearInterpolationHamiltonian(scale * sx, scale * sz, 1.0)
+    prop = evolve_on_grid(H, TimeGrid.uniform(1.0, 2), 1e-9)
+    assert prop.step == 1.0 / m
+
+
+@pytest.mark.parametrize("T", [12.5, 400.0])
+def test_fig1_ladder_accepts_two_substeps(T):
+    """The shortest and longest total times of the default sweep settle at
+    m = 2 on the default grid and tol."""
+    prop = evolve_on_grid(build_example_ramp(T), TimeGrid.uniform(T, 2001), 1e-9)
+    assert prop.step == pytest.approx(T / 4000, rel=1e-12)
+
+
+def test_intervals_split_across_batches_match_whole_ones(monkeypatch):
+    """With _BATCH_SUBSTEPS below m, each interval's product is composed
+    from several batches.  The checkpoints agree with whole-interval
+    batches to rounding (each batch picks its own Taylor degree), with the
+    polar re-orthonormalization landing on the same interval ends."""
+    H = build_example_ramp(2.0)
+    grid = TimeGrid.uniform(2.0, 6)
+    monkeypatch.setattr(propagation, "_POLAR_EVERY", 2)
+    whole = _checkpoints_fixed(H, grid, 8)
+    monkeypatch.setattr(propagation, "_BATCH_SUBSTEPS", 2)
+    split = _checkpoints_fixed(H, grid, 8)
+    assert operator_norms(split - whole).max() <= 1e-13
+
+
 # -- heisenberg / commutator ------------------------------------------------
 
 
@@ -508,6 +573,23 @@ def test_audit_checks_the_locality_hypothesis():
     assert certify(H, 0.5, grid).a_mu_max > 2.0 * cert.a_mu_max
     report = bound_audit(H, A, B, cert, evolve_on_grid(H, grid, 1e-10))
     assert not report.has_violations
+
+
+def test_audit_refuses_a_certificate_or_propagator_of_another_dimension():
+    """A certificate or propagator made for another H is refused before any
+    label is looked up in it."""
+    grid = TimeGrid.uniform(2.0, 21)
+    small = ConstantHamiltonian(random_exp_local(ExpLocalSpec(8, 1.0, 1.0, seed=0)))
+    large = ConstantHamiltonian(random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0)))
+    A, B = Block([0]), Block([4])
+    with pytest.raises(ValidationError, match="dimension"):
+        bound_audit(
+            small, A, B, certify(large, 0.5, grid), evolve_on_grid(small, grid)
+        )
+    with pytest.raises(ValidationError, match="dimension"):
+        bound_audit(
+            large, A, B, certify(large, 0.5, grid), evolve_on_grid(small, grid)
+        )
 
 
 @pytest.mark.parametrize(
