@@ -23,7 +23,7 @@ V_G = V_G(0) it gives the ground-space leakage delta_ad and the
 intertwining defect, since for projectors of equal rank
 ||P - Q|| = ||(1 - Q) P|| (Kato, Perturbation Theory for Linear Operators,
 I 4.6).  No d x d projector is formed.  On the grid the frames
-are the flow's; h_ad diagonalizes H itself, at times off the grid too.
+are the flow's; h_ad diagonalizes H itself at times off the grid.
 
 The eigenframes are eigh's as they come: each column is fixed only up to a
 phase, and the columns of a degenerate level (the ground cluster, or an
@@ -143,7 +143,9 @@ def h_ad(
 ) -> np.ndarray:
     """Adiabatic generator H(t) + i [Gdot(t), G(t)] at each of the times ts,
     shape (len(ts), dim, dim).  The times need not lie on the flow's grid:
-    H is diagonalized at each, with the flow's cluster size and cluster_tol.
+    H is diagonalized at each time off it, and the flow's eigen-data, of
+    that same H, serve the times on it.  The cluster size and cluster_tol
+    are the flow's.
 
     In the eigenframe i [Gdot, G] has only the excited-ground block i R and
     its adjoint, so it is i (X - X^dag) with X = V_E R V_G^dag.  That is
@@ -152,7 +154,12 @@ def h_ad(
     ts = np.asarray(ts, dtype=float)
     gdim = flow.ground_dim
     mats = H.evaluate_batch(ts)
-    vals, vecs = np.linalg.eigh(mats)
+    pts = flow.grid.points
+    k = np.minimum(np.searchsorted(pts, ts), len(pts) - 1)
+    off = pts[k] != ts
+    vals, vecs = flow.eigenvalues[k], flow.basis[k]
+    if off.any():
+        vals[off], vecs[off] = np.linalg.eigh(mats[off])
     _check_derivative_gap(_cluster_gap(vals, ts, gdim, flow.cluster_tol), ts)
     R = _gdot_eigframe(H, ts, vals, vecs, gdim)
     D = vecs[..., gdim:] @ R @ vecs[..., :gdim].conj().swapaxes(-1, -2)

@@ -1,30 +1,58 @@
 """Time-ordered propagators and direct verification of the commutator and
 propagator-spread bounds.
 
-The integrator takes one fourth-order Magnus step per substep [t, t + h]
-(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  With H evaluated
-at the two Gauss points H1 = H(t + (1/2 - sqrt(3)/6) h) and
-H2 = H(t + (1/2 + sqrt(3)/6) h),
+Each grid interval is cut into m substeps [t, t + h], and each substep
+takes two Magnus steps at once (Blanes, Casas & Ros, BIT 40 (2000) 434;
+Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151), from
+A(c) = -i h H(t + c h):
 
-    U(t + h, t) ~ exp(-i h M),  M = (H1 + H2)/2 + i (sqrt(3)/12) h [H1, H2].
+- Omega6, sixth order, from A_1, A_2, A_3 = A(c) at the three
+  Gauss-Legendre nodes c = 1/2 - sqrt(15)/10, 1/2, 1/2 + sqrt(15)/10:
 
-- Unitary to rounding: H1, H2 are Hermitian, hence so are (H1 + H2)/2 and
-  i[H1, H2], so M is Hermitian and exp(-i h M) is unitary.  It is taken
-  from a scaling-and-squaring Taylor series in matrix products alone, cut
-  where a rigorous bound on the dropped tail falls below 2^-53 (see
+      a1 = A_2,  a2 = (sqrt(15)/3)(A_3 - A_1),  a3 = (10/3)(A_3 - 2 A_2 + A_1),
+      C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1]/60,
+      Omega6 = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240.
+
+- Omega4, fourth order, from B_0, B_m, B_1 = A(0), A(1/2), A(1), the
+  substep's ends and midpoint (Simpson's nodes):
+
+      Omega4 = (B_0 + 4 B_m + B_1)/6 - [B_0, B_1]/12.
+
+The step kernel takes each generator in its Hermitian form M = i Omega / h,
+as exp(-i h M).  With H(c) = H(t + c h) and c_lo, c_hi the outer Gauss
+nodes:
+
+      M4 = (H(0) + 4 H(1/2) + H(1))/6 + i (h/12) [H(0), H(1)],
+      M6 = H(1/2) + (10/36)(H(c_hi) - 2 H(1/2) + H(c_lo))
+           + i [-20 a1 - a3 + C1, a2 + C2] / (240 h).
+
+The midpoint is also the middle Gauss node, and neighbouring substeps share
+their ends, so a substep evaluates H at four new times.  The chains of
+exp(Omega6) and exp(Omega4) steps, U6 and U4, run side by side: U6 is
+returned and U4 only checks it.  max over checkpoints of ||U4 - U6|| is
+about U4's error, O(h^4), so it overstates U6's, O(h^6).  The companion
+has a quadrature of its own on purpose.  The fourth-order generator at
+the same Gauss nodes, a1 + a3/12 - C1/12, equals Omega6 whenever H(t)
+commutes with itself, so for H = cos(w t) A that pair reads 0 whatever
+the error.
+
+- Unitary to rounding: A(c) is anti-Hermitian, and so are real
+  combinations and commutators of anti-Hermitian matrices, so M is
+  Hermitian and exp(-i h M) is unitary.  It is taken from a
+  scaling-and-squaring Taylor series in matrix products alone, cut where a
+  rigorous bound on the dropped tail falls below 2^-53 (see
   _unitary_steps).  No step is unitary by construction: the truncation
   bound and a polar re-orthonormalization every 256 grid intervals keep it
   so, and every Propagator measures its unitarity_defect on first read.
-- Fourth order: h M is the Magnus series of the substep cut after its
-  first commutator term, with both integrals taken by two-point Gauss
-  quadrature (exact for cubics).  What is dropped is O(h^5) per substep,
-  so the global error is O(h^4).
-- Constant H: [H, H] is exactly 0 and (H + H)/2 == H, so M is H bit for
-  bit and the step is the kernel's exp(-i h H).
+- Constant H: A_1 = A_2 = A_3, so a2 = a3 = 0 exactly, M6 is H bit for
+  bit and the returned step is the kernel's exp(-i h H).
 
-The number of substeps per grid interval doubles until two successive
-refinements agree to the requested tolerance at every checkpoint, and stops
-with an IntegrationError once refining no longer lowers their difference.
+A level m is accepted once max ||U4 - U6|| and a rounding floor
+sqrt(n_int m) d 2^-53 are both below the tolerance.  The floor stands for
+the rounding the two chains share, which their difference cannot see: the
+n_int m rounded products of d x d unitaries behind the last checkpoint.
+Otherwise m doubles, and the doubling stops with an IntegrationError once
+it no longer lowers the level's defect.
 
 A ConstantHamiltonian skips the integrator: U(t) = V e^(-i t w) V^dag
 from one eigh of H = V diag(w) V^dag serves every checkpoint, with U(0)
@@ -57,18 +85,20 @@ from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
 from .numerics import TimeGrid, check_aligned, operator_norms
 
-# substeps processed per vectorized batch (memory/speed tradeoff)
-_BATCH_SUBSTEPS = 16384
+# substeps processed per vectorized batch (memory/speed tradeoff); a power
+# of two, so that a batch holds whole intervals or whole pieces of one
+_BATCH_SUBSTEPS = 256
 # running product re-orthonormalized every this many grid intervals
 _POLAR_EVERY = 256
-# the halving loop also stops once the smallest refinement defect seen, if
-# below this floor, survives two more levels
+# the halving loop also stops once the smallest level defect seen, if below
+# this floor, survives two more levels
 _STALL_FLOOR = 1e-6
-# Gauss nodes of a substep [t, t + h] at t + (1/2 -+ sqrt(3)/6) h, and the
-# coefficient of the commutator term of the fourth-order Magnus generator
-_GAUSS_LO = 0.5 - np.sqrt(3.0) / 6.0
-_GAUSS_HI = 0.5 + np.sqrt(3.0) / 6.0
-_COMMUTATOR_COEF = np.sqrt(3.0) / 12.0
+# outer Gauss-Legendre nodes of a substep [t, t + h] at
+# t + (1/2 -+ sqrt(15)/10) h (the third is the midpoint), and the weight of
+# their difference in Omega6
+_GAUSS_LO = 0.5 - np.sqrt(15.0) / 10.0
+_GAUSS_HI = 0.5 + np.sqrt(15.0) / 10.0
+_GAUSS_SLOPE = np.sqrt(15.0) / 3.0
 # the Taylor series of a substep's exponential is cut where its tail bound
 # falls below the unit roundoff of double precision
 _UNIT_ROUNDOFF = 2.0**-53
@@ -168,62 +198,82 @@ def _compose(steps: np.ndarray) -> np.ndarray:
 
 
 def _reunitarize(U: np.ndarray) -> np.ndarray:
-    """Polar projection onto the closest unitary."""
+    """Polar projection onto the closest unitary, batched."""
     w, _, vh = np.linalg.svd(U)
     return w @ vh
 
 
-def _magnus_steps(H, starts: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Fourth-order Magnus steps exp(-i h M) over the substeps
-    [t, t + h], t in starts, h in hs (see the module docstring)."""
-    n = len(starts)
-    nodes = np.concatenate([starts + _GAUSS_LO * hs, starts + _GAUSS_HI * hs])
-    # complex, so that a real-valued evaluate can take the factor 2j in place
+def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    C = X @ Y
+    C -= Y @ X
+    return C
+
+
+def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Hermitian generators M4 and M6 of the substeps [bounds[k], bounds[k+1]]
+    of widths hs, with exp(-i h M) = exp(Omega), stacked as
+    (2, len(hs), d, d) (see the module docstring)."""
+    n, d = len(hs), H.dimension
+    starts = bounds[:-1]
+    nodes = np.concatenate(
+        [bounds, starts + 0.5 * hs, starts + _GAUSS_LO * hs, starts + _GAUSS_HI * hs]
+    )
+    # complex, so that a real-valued evaluate takes the same arithmetic
     mats = np.asarray(H.evaluate_batch(nodes), dtype=complex)
-    H1, H2 = mats[:n], mats[n:]
-    # 2M built in place.  For H1 == H2, H2 @ H1 repeats the arithmetic of
-    # H1 @ H2, so [H, H] is exactly 0 whatever the BLAS; M - M^dag would be
-    # 0 only where the BLAS happens to round H @ H to a Hermitian matrix.
-    M = H1 @ H2
-    M -= H2 @ H1
-    M *= (2j * _COMMUTATOR_COEF) * hs[:, None, None]
-    M += H1
-    M += H2
-    M *= 0.5
-    del mats, H1, H2  # free the node evaluations before the exponential
-    return _unitary_steps(M, hs)
+    Hs, He = mats[:n], mats[1 : n + 1]  # at the substeps' starts and ends
+    Hm, Hlo, Hhi = mats[n + 1 :].reshape(3, n, d, d)
+    h = hs[:, None, None]
+    with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused by the kernel
+        M4 = (Hs + 4.0 * Hm + He) / 6.0 + _commutator(Hs, He) * (1j / 12.0 * h)
+        # a_k = -i h b_k; for Hlo == Hm == Hhi, b2 and b3 are exactly 0
+        b2 = _GAUSS_SLOPE * (Hhi - Hlo)
+        b3 = (10.0 / 3.0) * (Hhi - 2.0 * Hm + Hlo)
+        a1, a2, a3 = -1j * h * Hm, -1j * h * b2, -1j * h * b3
+        C1 = _commutator(a1, a2)
+        C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
+        K = _commutator(-20.0 * a1 - a3 + C1, a2 + C2)
+        M6 = Hm + b3 / 12.0 + K * (1j / 240.0 / h)
+    return np.stack([M4, M6])
 
 
 def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
-    """Propagator checkpoints with m fourth-order Magnus substeps per grid
-    interval, each the exponential of the Gauss-point generator M.
+    """Checkpoints of the fourth- and sixth-order chains, stacked as
+    (U4, U6) with shape (2, len(grid), d, d), from m substeps per grid
+    interval (see the module docstring).
 
-    Substep k of interval g is the flat substep s = g m + k.  The substeps
-    are taken in batches of _BATCH_SUBSTEPS, and each batch is composed into
-    factors of min(m, _BATCH_SUBSTEPS) substeps: whole intervals, or, for
-    m > _BATCH_SUBSTEPS, pieces of one.  Both are powers of two, so no
-    factor straddles an interval end.  The running product stores a checkpoint at
-    every interval end and is re-orthonormalized every _POLAR_EVERY of them.
+    Substep k of interval g is the flat substep s = g m + k, which starts at
+    pts[g] + (k/m) widths[g]; it ends where substep s + 1 starts, so the two
+    share that evaluation of H.  The substeps are taken in batches of
+    _BATCH_SUBSTEPS, and each batch is composed into factors of
+    min(m, _BATCH_SUBSTEPS) substeps: whole intervals, or, for
+    m > _BATCH_SUBSTEPS, pieces of one.  Both are powers of two, so no factor
+    straddles an interval end.  The running product (U4, U6) stores a
+    checkpoint at every interval end and is re-orthonormalized every
+    _POLAR_EVERY of them.
     """
     pts = grid.points
     d = H.dimension
     widths = np.diff(pts)
+    padded = np.append(widths, 0.0)  # so that the last boundary is pts[-1]
     total = widths.size * m
     per_factor = min(m, _BATCH_SUBSTEPS)
-    out = np.empty((len(pts), d, d), dtype=complex)
-    out[0] = np.eye(d)
-    U = np.eye(d, dtype=complex)
+    out = np.empty((2, len(pts), d, d), dtype=complex)
+    out[:, 0] = np.eye(d)
+    U = out[:, 0].copy()
     for s0 in range(0, total, _BATCH_SUBSTEPS):
-        g, k = np.divmod(np.arange(s0, min(total, s0 + _BATCH_SUBSTEPS)), m)
-        steps = _magnus_steps(H, pts[g] + (k / m) * widths[g], widths[g] / m)
-        factors = _compose(steps.reshape(-1, per_factor, d, d))
+        g, k = np.divmod(np.arange(s0, min(total, s0 + _BATCH_SUBSTEPS) + 1), m)
+        bounds = pts[g] + (k / m) * padded[g]
+        hs = widths[g[:-1]] / m
+        gens = _magnus_generators(H, bounds, hs)
+        steps = _unitary_steps(gens.reshape(-1, d, d), np.concatenate([hs, hs]))
+        factors = _compose(steps.reshape(2, -1, per_factor, d, d)).swapaxes(0, 1)
         for f, factor in enumerate(factors, start=s0 // per_factor + 1):
             U = factor @ U
             end = f * per_factor  # flat index just past the factor
             if end % (m * _POLAR_EVERY) == 0:
                 U = _reunitarize(U)
             if end % m == 0:
-                out[end // m] = U
+                out[:, end // m] = U
     return out
 
 
@@ -261,19 +311,24 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     unitarity defect where rounding cannot reach a tol that small; both are
     computed on first read.
 
-    Any other H is integrated: each grid interval takes m fourth-order
-    Magnus substeps at the Gauss points (see the module docstring).  m
-    doubles from 1 until the checkpoints of two successive refinements
-    differ by less than tol in operator norm at every grid point.  step is
-    then the widest grid interval over the accepted m.
+    Any other H is integrated: each grid interval takes m substeps, each
+    the sixth-order Gauss-Legendre Magnus step, checked by the
+    fourth-order Simpson-node step (see the module docstring).  From m = 1,
+    a level's defect is the larger of max over checkpoints of ||U4 - U6||
+    in operator norm and the rounding floor sqrt(n_int m) d 2^-53 that both
+    chains share; the first level whose defect is below tol is accepted,
+    and U6 returned.  step is then the widest grid interval over m.  The
+    Simpson companion is what lets the check see quadrature error: a
+    companion at the Gauss nodes agrees with U6 for any H(t) that commutes
+    with itself, however coarse the step.
 
     Refinement that stops paying raises IntegrationError, whose defect is
-    the smallest refinement defect reached: after 20 halvings, or as soon
+    the smallest level defect reached: after 20 doublings of m, or as soon
     as two successive levels fail to beat that smallest defect while it is
-    below 1e-6.  A tol below the rounding floor thus fails within a few
-    levels of reaching it, not after 20 doublings of the cost.  The floor
-    keeps the stop out of the pre-asymptotic regime, where the defects of
-    a stiff H are O(1) and rise and fall before they converge.
+    below 1e-6.  The floor grows with m, so a tol below it fails within a
+    few levels, not after 20 doublings of the cost.  The 1e-6 keeps the
+    stop out of the pre-asymptotic regime, where the defects of a stiff H
+    are O(1) and rise and fall before they converge.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -284,23 +339,24 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         # V V^dag is I only to rounding; lhs(0) = 0 = rhs(0) in the audit
         unitaries[0] = np.eye(H.dimension)
         return Propagator(grid=grid, unitaries=unitaries, step=0.0, tolerance=tol)
-    m = 1
-    prev = _checkpoints_fixed(H, grid, m)
+    n_int = len(grid) - 1
     best, stalls = np.inf, 0
-    for _ in range(20):
-        m *= 2
-        cur = _checkpoints_fixed(H, grid, m)
-        diff = _refinement_defect(cur, prev, tol)
-        if diff < tol:
+    for halvings in range(21):
+        m = 2**halvings
+        check, cur = _checkpoints_fixed(H, grid, m)
+        floor = np.sqrt(n_int * m) * H.dimension * _UNIT_ROUNDOFF
+        defect = max(_refinement_defect(cur, check, tol), floor)
+        if defect < tol:
             width = float(np.max(np.diff(grid.points)))
-            return Propagator(grid=grid, unitaries=cur, step=width / m, tolerance=tol)
-        best, stalls = (diff, 0) if diff < best else (best, stalls + 1)
+            # a copy, so that the check chain's checkpoints are freed
+            U = cur.copy()
+            return Propagator(grid=grid, unitaries=U, step=width / m, tolerance=tol)
+        best, stalls = (defect, 0) if defect < best else (best, stalls + 1)
         if stalls == 2 and best < _STALL_FLOOR:
             break
-        prev = cur
     raise IntegrationError(
         f"propagator did not converge to tol {tol:.3e}: the smallest "
-        f"refinement defect in {m.bit_length() - 1} step halvings was {best:.3e}",
+        f"refinement defect in {halvings} step halvings was {best:.3e}",
         defect=best,
     )
 

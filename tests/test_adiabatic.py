@@ -186,6 +186,22 @@ def test_h_ad_constant_equals_h():
     assert operator_norm(h_ad(H, flow, [0.3])[0] - M) <= 1e-12
 
 
+def test_h_ad_reads_the_flow_at_grid_times(monkeypatch):
+    """At times on the flow's grid h_ad takes the flow's eigen-data and runs
+    no eigh.  It agrees to rounding with h_ad from a flow on a coarser grid,
+    which diagonalizes H itself at most of those times."""
+    H = build_example_ramp(5.0)
+    grid = TimeGrid.uniform(5.0, 51)
+    fresh = h_ad(H, spectral_flow(H, TimeGrid.uniform(5.0, 7)), grid.points)
+    flow = spectral_flow(H, grid)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert operator_norms(h_ad(H, flow, grid.points) - fresh).max() <= 1e-13
+
+
 def test_h_ad_hermitian_and_block_structure(ramp_run):
     H, run = ramp_run
     flow = run.flow
