@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .blocks import Block, bandwidth, pairwise_decompose
 from .errors import NumericalError, ValidationError
 from .experiment import ExperimentConfig, run_fig1
 from .locality import certify, optimize_mu_generic
-from .numerics import TimeGrid
+from .numerics import TimeGrid, csv_text, json_text
 from .propagation import bound_audit, evolve_on_grid, propagator_spread
 
 EXIT_OK = 0
@@ -43,6 +42,7 @@ _FLAGS = {
     "--grid": dict(dest="grid_points", type=int),
     "--tol": dict(dest="integrator_tol", type=float),
     "--fixed-basis": dict(action="store_true", default=None),
+    "--T": dict(dest="T_values", type=float, nargs="+"),
     "--supp-a": dict(required=True, help="comma-separated labels, e.g. 0,1"),
     "--supp-b": dict(required=True, help="comma-separated labels"),
 }
@@ -99,12 +99,12 @@ def _certificate_for(config, H, grid):
 def _emit(args, name: str, payload: dict) -> None:
     """Print the payload as JSON and, with --out, write the same text to
     <out>/<name>.json."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    text = json_text(payload)
+    print(text, end="")
     if args.output_dir is not None:
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.json").write_text(text + "\n")
+        (out / f"{name}.json").write_text(text)
 
 
 def _cmd_decompose(args) -> int:
@@ -153,10 +153,8 @@ def _cmd_spread(args) -> int:
     T, H, grid = _first_run(config)
     prop = evolve_on_grid(H, grid, config.integrator_tol)
     amps = propagator_spread(prop, source)
-    rows = ["t," + ",".join(f"amp_{j}" for j in range(H.dimension))]
-    for t, row in zip(grid.points, amps):
-        rows.append(f"{t:.17g}," + ",".join(f"{a:.17g}" for a in row))
-    csv = "\n".join(rows) + "\n"
+    header = ["t", *(f"amp_{j}" for j in range(H.dimension))]
+    csv = csv_text(header, ((t, *row) for t, row in zip(grid.points, amps)))
     if args.output_dir is None:
         print(csv, end="")
         return EXIT_OK
@@ -236,7 +234,7 @@ _SUBCOMMANDS = {
     "fig1": (
         _cmd_fig1,
         "full sweep: CSV, per-run JSON, and SVG plots",
-        "--config --out --threshold --grid --tol --fixed-basis",
+        "--config --out --threshold --grid --tol --fixed-basis --T",
     ),
 }
 

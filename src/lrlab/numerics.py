@@ -1,8 +1,10 @@
 """Shared numerical kernels: time grids, norms, the product logarithm, and
-time-grid quadrature."""
+time-grid quadrature; and the one writer of each artefact text format, the
+17-digit CSV and the sorted, 2-space-indented JSON."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,3 +93,17 @@ def time_average(samples, grid: TimeGrid) -> float:
             f"got {samples.size} samples for a {len(grid)}-point grid"
         )
     return float(np.trapezoid(samples, grid.points) / grid.t_final)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text: the header's column names, then one line per row, each
+    value with 17 significant digits, so that it reads back to the same
+    float."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(payload) -> str:
+    """JSON text with sorted keys, 2-space indent and a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -83,7 +83,7 @@ from .blocks import Block, block_distance
 from .errors import IntegrationError, ValidationError
 from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
-from .numerics import TimeGrid, check_aligned, operator_norms
+from .numerics import TimeGrid, check_aligned, csv_text, operator_norms
 
 # substeps processed per vectorized batch (memory/speed tradeoff); a power
 # of two, so that a batch holds whole intervals or whole pieces of one
@@ -412,10 +412,9 @@ class AuditReport:
         return self.violations.size > 0
 
     def to_csv(self, path) -> None:
+        rows = zip(self.times, self.lhs, self.rhs, self.margin)
         with open(path, "w") as fh:
-            fh.write("t,lhs,rhs,margin\n")
-            for t, l, r, m in zip(self.times, self.lhs, self.rhs, self.margin):
-                fh.write(f"{t:.17g},{l:.17g},{r:.17g},{m:.17g}\n")
+            fh.write(csv_text(("t", "lhs", "rhs", "margin"), rows))
 
     def to_json_summary(self) -> dict:
         return {

@@ -15,7 +15,12 @@ from lrlab.adiabatic import (
     spectral_flow,
     wave_operator_errors,
 )
-from lrlab.errors import IllConditionedError, LevelCrossingError, ValidationError
+from lrlab.errors import (
+    GapClosureError,
+    IllConditionedError,
+    LevelCrossingError,
+    ValidationError,
+)
 from lrlab.experiment import empirical_v_lr
 from lrlab.locality import certify
 from lrlab.models import (
@@ -99,6 +104,9 @@ def test_flow_level_crossing_detected():
     )
     with pytest.raises(LevelCrossingError):
         spectral_flow(H, TimeGrid.uniform(1.0, 21))
+    # one level: no gap to track
+    with pytest.raises(GapClosureError):
+        spectral_flow(ConstantHamiltonian(np.eye(3)), TimeGrid.uniform(1.0, 21))
 
 
 def test_h_ad_path_checks_cluster_and_derivative_gap():

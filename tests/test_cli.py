@@ -218,6 +218,46 @@ def test_fig1_end_to_end(tmp_path, capsys):
     assert "T=3" in stdout and "T=6" in stdout
 
 
+@pytest.fixture()
+def crossing_cfg_file(tmp_path):
+    """diag(0, 1) -> diag(1, 0) over T = 1: the two levels cross at t = 0.5."""
+    path = tmp_path / "crossing.json"
+    zero, one = [0.0, 0.0], [1.0, 0.0]
+    path.write_text(
+        json.dumps(
+            {
+                "hamiltonian": {
+                    "h_i": [[zero, zero], [zero, one]],
+                    "h_f": [[one, zero], [zero, zero]],
+                },
+                "T_values": [1.0],
+                "grid_points": 101,
+            }
+        )
+    )
+    return path
+
+
+def test_numerical_failure_exits_2(crossing_cfg_file, tmp_path, capsys):
+    assert main(["adiabatic", "--config", str(crossing_cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "numerical failure: ground cluster dimension changed"
+    )
+
+    out = tmp_path / "fig1"
+    argv = ["fig1", "--config", str(crossing_cfg_file), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "T=1        FAILED: LevelCrossingError: " in captured.err
+    assert f"wrote {out / 'fig1_run_T1.json'}" in captured.out
+    payload = json.loads((out / "fig1_run_T1.json").read_text())
+    assert set(payload) == {"T", "error"}
+    assert payload["T"] == 1.0
+    assert payload["error"].startswith("LevelCrossingError: ")
+
+
 def test_bad_config_is_validation_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T_values": []}))
@@ -260,6 +300,7 @@ _OPTIMIZE_CASES = [
         ["decompose", "--mu", "0.5"],
         ["fig1", "--mu", "0.5"],
         ["locality", "--tol", "1e-9"],
+        ["locality", "--T", "5"],
     ]
     + [case + ["--optimize"] for case in _OPTIMIZE_CASES],
     ids=lambda argv: " ".join(argv),
@@ -273,7 +314,7 @@ def test_unread_flag_is_usage_error(small_cfg_file, argv, capsys):
 def test_readme_lists_the_flags_each_subcommand_reads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = {
-        m.group(1): set(re.findall(r"--[a-z-]+", m.group(2)))
+        m.group(1): set(re.findall(r"--[A-Za-z-]+", m.group(2)))
         for m in re.finditer(r"^\| `lrlab ([a-z0-9-]+)` +\|(.*)\|$", readme, re.M)
     }
     (sub,) = [
@@ -285,4 +326,4 @@ def test_readme_lists_the_flags_each_subcommand_reads():
         for name, p in sub.choices.items()
     }
     assert documented == accepted
-    assert sum(len(flags) for flags in accepted.values()) == 28
+    assert sum(len(flags) for flags in accepted.values()) == 29

@@ -1,13 +1,15 @@
 import json
-import warnings
+import os
 
 import numpy as np
 import pytest
 
 from lrlab.adiabatic import spectral_flow
+from lrlab.cli import main
 from lrlab.errors import InsufficientCrossingsError, ValidationError
 from lrlab.experiment import (
     ExperimentConfig,
+    _worker_count,
     empirical_v_lr,
     parse_complex_matrix,
     run_fig1,
@@ -42,6 +44,8 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(integrator_tol=0.0)
     with pytest.raises(ValidationError):
+        ExperimentConfig(mu=0.0)
+    with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"bogus_field": 1})
 
 
@@ -66,6 +70,9 @@ def test_config_from_file(tmp_path):
     bad.write_text("not json {")
     with pytest.raises(ValidationError):
         ExperimentConfig.from_file(bad)
+    bad.write_text("[1, 2]")
+    with pytest.raises(ValidationError, match="JSON object"):
+        ExperimentConfig.from_file(bad)
 
 
 def test_parse_complex_matrix():
@@ -75,6 +82,10 @@ def test_parse_complex_matrix():
         parse_complex_matrix([[1.0, 2.0]])
     with pytest.raises(ValidationError):
         parse_complex_matrix([[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]])
+    with pytest.raises(ValidationError, match="malformed"):
+        parse_complex_matrix([[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]])
+    with pytest.raises(ValidationError, match="malformed"):
+        parse_complex_matrix([[["one", 0.0]]])
 
 
 def test_build_hamiltonian_variants():
@@ -273,29 +284,15 @@ def test_run_fig1_records_failures_and_continues(tmp_path):
     assert "error" in err_payload
 
 
-def test_user_ramp_gets_no_bundled_model_warnings(tmp_path):
-    # a ladder of spacing 0.05 under a 0.5 hopping ramp: its gap and norm
-    # lie outside the bundled model's sanity ranges, which do not apply
-    d = 11
-    h_i = 0.05 * np.diag(np.arange(d)).astype(complex)
-    h_f = h_i + 0.5 * (np.eye(d, k=1) + np.eye(d, k=-1))
-
-    def pairs(M):
-        return np.stack([M.real, M.imag], axis=-1).tolist()
-
-    cfg = ExperimentConfig(
-        hamiltonian={"h_i": pairs(h_i), "h_f": pairs(h_f)},
-        T_values=(4.0, 8.0),
-        grid_points=301,
-        integrator_tol=1e-7,
-        output_dir=str(tmp_path),
-    )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records, failures, _ = run_fig1(cfg)
-    assert failures == {}
-    assert [r.T for r in records] == [4.0, 8.0]
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert all(r.warnings == [] for r in records)
-    payload = json.loads((tmp_path / "fig1_run_T4.json").read_text())
-    assert payload["warnings"] == []
+def test_worker_count_reads_lrlab_threads(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("LRLAB_THREADS", "1")
+    assert _worker_count(6) == 1
+    monkeypatch.delenv("LRLAB_THREADS")
+    assert _worker_count(6) == min(6, os.cpu_count() or 1)
+    monkeypatch.setenv("LRLAB_THREADS", "x")
+    with pytest.raises(ValidationError, match="LRLAB_THREADS"):
+        _worker_count(6)
+    argv = ["fig1", "--T", "4", "--grid", "301", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "LRLAB_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

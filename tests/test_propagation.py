@@ -349,9 +349,11 @@ def test_nonconvergence_stops_once_refinement_stalls(monkeypatch):
 
 
 def test_stalled_refinement_names_its_floor_and_the_tol():
-    """tol 1e-14 on the bundled ramp sits at the rounding floor: the
-    defects go 2.0e-14, 1.2e-14, 1.9e-13, 1.8e-13, ... and the error names
-    the smallest of them next to the tol asked for."""
+    """tol 1e-14 on the bundled ramp sits below the rounding floor
+    sqrt(n_int m) d 2^-53: the level defects are that floor, 5.46e-14,
+    7.7e-14 and 1.1e-13 at m = 1, 2, 4 (the pair itself reads 1.5e-14,
+    8.0e-15 and 7.1e-15), so after 2 halvings the error names the
+    smallest, 5.462e-14, next to the tol asked for."""
     with pytest.raises(IntegrationError) as err:
         evolve_on_grid(build_example_ramp(12.5), TimeGrid.uniform(12.5, 2001), 1e-14)
     defect = err.value.defect
@@ -754,6 +756,8 @@ def test_audit_identical_supports_rejected():
         bound_audit(H, Block([2]), Block([2]), cert, prop)
     with pytest.raises(ValidationError):
         bound_audit(H, Block([1, 2]), Block([2, 3]), cert, prop)
+    with pytest.raises(ValidationError, match="support labels exceed"):
+        bound_audit(H, Block([11]), Block([2]), cert, prop)
 
 
 def test_audit_report_serialization(tmp_path):

@@ -5,6 +5,7 @@ import re
 import sys
 from pathlib import Path
 
+import lrlab.cli
 from lrlab.experiment import ExperimentConfig
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -32,13 +33,13 @@ def test_ensemble_audit_script_reports_every_seed(monkeypatch, capsys):
 def test_fig1_script_overrides_only_the_flags_given(monkeypatch, capsys, tmp_path):
     script = _load("run_fig1")
     configs = []
-    run_fig1 = script.run_fig1
+    run_fig1 = lrlab.cli.run_fig1
 
     def recording(config):
         configs.append(config)
         return run_fig1(config)
 
-    monkeypatch.setattr(script, "run_fig1", recording)
+    monkeypatch.setattr(lrlab.cli, "run_fig1", recording)
     monkeypatch.setattr(
         sys,
         "argv",
@@ -46,11 +47,7 @@ def test_fig1_script_overrides_only_the_flags_given(monkeypatch, capsys, tmp_pat
     )
     assert script.main() == 0
     assert len((tmp_path / "fig1.csv").read_text().splitlines()) == 3
-    rows = [
-        line.split()[0]
-        for line in capsys.readouterr().out.splitlines()
-        if re.match(r"\s*\d", line)
-    ]
+    rows = re.findall(r"^T=(\S+) ", capsys.readouterr().out, re.M)
     assert rows == ["12.5", "25"]
     (config,) = configs
     default = ExperimentConfig()
