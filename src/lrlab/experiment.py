@@ -295,6 +295,8 @@ def run_fig1(
     Individual total-time failures are recorded and do not stop the sweep.
     Returns (records sorted by T, per-T error strings, written paths).
     """
+    # a refused LRLAB_THREADS leaves no output directory behind
+    workers = _worker_count(len(config.T_values))
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -307,7 +309,7 @@ def run_fig1(
         except LrlabError as exc:
             return T, None, f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=_worker_count(len(config.T_values))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for T, record, error in pool.map(task, config.T_values):
             if error is None:
                 results[T] = record

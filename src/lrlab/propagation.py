@@ -65,7 +65,8 @@ a test oracle.
 
 The bound audit reads ||[U^dag P_A U, P_B]|| = ||U[A, B] U[A^c, B]^dag||
 from a block of the propagator (|U_ab| ||U[A^c, b]|| for singletons, from
-the one column b): with
+the one column b, which Propagator.columns lays out once per propagator):
+with
 Q = U^dag P_A U and P = P_B, QP - PQ = QP(1 - Q) - (1 - Q)PQ, two mutually
 adjoint off-diagonal blocks of norm ||QP(1 - Q)||.  The identity assumes a
 unitary U; otherwise it departs from the commutator of the conjugated
@@ -115,7 +116,10 @@ class Propagator:
     contract every checkpoint meets: the requested tol for an integrated
     propagator; for the closed form, whose error rounding bounds, the
     requested tol or the measured unitarity defect, whichever is larger, so
-    it too is computed on first read.
+    it too is computed on first read.  columns, the unitaries copied into
+    (column, label, time) order for the audit's singleton read-out, is made
+    on first read and cached too.  unitaries is a read-only view, so that no
+    write through it leaves either cache describing other numbers.
     """
 
     def __init__(
@@ -127,17 +131,29 @@ class Propagator:
         unitarity_defect: float | None = None,
     ):
         self.grid = grid
-        self.unitaries = unitaries
+        self.unitaries = unitaries.view()
+        self.unitaries.flags.writeable = False
         self.step = step
         self._tol = tolerance
         self._defect = unitarity_defect
+        self._columns = None
 
+    # threads that read a cache at once each compute the same value, unlocked
     @property
     def unitarity_defect(self) -> float:
-        # threads that read it at once each measure the same value, unlocked
         if self._defect is None:
             self._defect = _unitarity_defect(self.unitaries)
         return self._defect
+
+    @property
+    def columns(self) -> np.ndarray:
+        """(d, d, len(grid)), read-only: columns[b, k] is U_kb over the grid,
+        so each column of U is one contiguous (labels, times) block."""
+        if self._columns is None:
+            cols = np.ascontiguousarray(self.unitaries.transpose(2, 1, 0))
+            cols.flags.writeable = False
+            self._columns = cols
+        return self._columns
 
     @property
     def tolerance(self) -> float:
@@ -398,10 +414,11 @@ class AuditReport:
 
     @property
     def violations(self) -> np.ndarray:
-        """Grid indices with a negative margin or an understated a_mu."""
-        return np.union1d(
-            np.nonzero(self.margin < -VIOLATION_THRESHOLD)[0], self.understated
-        )
+        """Grid indices with a negative margin or an understated a_mu, sorted
+        and each once."""
+        flagged = self.margin < -VIOLATION_THRESHOLD
+        flagged[self.understated] = True
+        return np.flatnonzero(flagged)
 
     @property
     def min_margin(self) -> float:
@@ -474,7 +491,7 @@ def bound_audit(
     a, b = np.asarray(supp_a.labels), np.asarray(supp_b.labels)
     if a.size == b.size == 1:
         # column b as (labels, times), so each sum adds whole time rows
-        i, col = a[0], np.ascontiguousarray(propagator.unitaries[:, :, b[0]].T)
+        i, col = a[0], propagator.columns[b[0]]
         sq = col.real**2 + col.imag**2
         rest = sq[:i].sum(axis=0) + sq[i + 1 :].sum(axis=0)
         lhs = np.abs(col[i]) * np.sqrt(rest)

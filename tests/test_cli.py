@@ -1,10 +1,14 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lrlab
 from lrlab.cli import _build_parser, main
 
 
@@ -94,6 +98,25 @@ def test_bound_check_ok(small_cfg_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == 0
     assert (out / "bound_check.csv").read_text().startswith("t,lhs,rhs,margin")
+
+
+def test_bound_check_never_imports_numpy_ma():
+    """A fresh bound-check process finds its violations without numpy's set
+    routines, whose first call in a process imports numpy.ma."""
+    src = str(Path(lrlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from lrlab.cli import main\n"
+        "argv = ['bound-check', '--supp-a', '0', '--supp-b', '5', '--grid', '201']\n"
+        "print(main(argv), 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_bound_check_overlap_is_validation_error(small_cfg_file, capsys):

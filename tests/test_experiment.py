@@ -292,7 +292,8 @@ def test_worker_count_reads_lrlab_threads(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("LRLAB_THREADS", "x")
     with pytest.raises(ValidationError, match="LRLAB_THREADS"):
         _worker_count(6)
-    argv = ["fig1", "--T", "4", "--grid", "301", "--out", str(tmp_path)]
+    out = tmp_path / "fig1"
+    argv = ["fig1", "--T", "4", "--grid", "301", "--out", str(out)]
     assert main(argv) == 1
     assert "LRLAB_THREADS" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()

@@ -18,6 +18,7 @@ from lrlab.models import (
 )
 from lrlab.numerics import TimeGrid, operator_norms
 from lrlab.propagation import (
+    AuditReport,
     Propagator,
     _checkpoints_fixed,
     _magnus_generators,
@@ -605,6 +606,18 @@ def test_audit_checks_the_locality_hypothesis():
     assert report.violations.tolist() == [200]
     assert report.to_json_summary()["violations"] == 1
 
+    # margin violations at 3 and 7, understated at 7 and 9: each index once
+    margin = np.zeros(12)
+    margin[[3, 7]] = -1.0
+    overlap = AuditReport(
+        times=np.arange(12.0),
+        lhs=-margin,
+        rhs=np.zeros(12),
+        margin=margin,
+        understated=np.array([7, 9]),
+    )
+    assert overlap.violations.tolist() == [3, 7, 9]
+
     # H is local only after swapping labels 0 and 9, which leaves the audited
     # pair and its distance alone; certified in that basis it is valid,
     # although its load in the given basis is far above the certified a_mu
@@ -680,6 +693,41 @@ def test_singleton_audit_matches_the_gram_form():
             want = gram_block_norm(prop.unitaries, [i], [j])
             assert np.all(want[later] > 0)
             np.testing.assert_allclose(lhs[later], want[later], rtol=1e-13, atol=0.0)
+
+
+def test_unitaries_are_a_read_only_view():
+    """No write reaches a propagator's checkpoints, closed form or
+    integrated, so its cached defect and column layout stay its own."""
+    grid = TimeGrid.uniform(2.0, 21)
+    H = ConstantHamiltonian(random_exp_local(ExpLocalSpec(6, 1.0, 1.0, seed=0)))
+    for prop in (evolve_on_grid(H, grid), evolve_on_grid(build_example_ramp(2.0), grid)):
+        with pytest.raises(ValueError, match="read-only"):
+            prop.unitaries[1, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            prop.unitaries *= 2.0
+
+
+def test_audits_share_one_column_layout():
+    """The first singleton audit of a propagator lays its columns out once;
+    a second audit reuses that copy, and both lhs equal the per-call read
+    of column b bit for bit."""
+    n = 9
+    H = ConstantHamiltonian(random_exp_local(ExpLocalSpec(n, 1.0, 1.0, seed=2)))
+    grid = TimeGrid.uniform(2.0, 101)
+    cert = certify(H, 0.5, grid)
+    prop = evolve_on_grid(H, grid)
+    assert prop._columns is None  # nothing is laid out before an audit
+    layouts = []
+    for i, j in ((1, 6), (7, 2)):
+        lhs = bound_audit(H, Block([i]), Block([j]), cert, prop).lhs
+        layouts.append(prop._columns)
+        col = np.ascontiguousarray(prop.unitaries[:, :, j].T)
+        sq = col.real**2 + col.imag**2
+        want = np.abs(col[i]) * np.sqrt(sq[:i].sum(axis=0) + sq[i + 1 :].sum(axis=0))
+        assert np.array_equal(lhs, want)
+    assert layouts[0] is layouts[1] is prop.columns
+    assert layouts[0].shape == (n, n, len(grid))
+    assert not layouts[0].flags.writeable
 
 
 def test_audit_lhs_resolves_near_full_transfer():
