@@ -35,6 +35,7 @@ the block, and Frobenius norms of its rows grouped by level.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import GapClosureError, IllConditionedError, LevelCrossingError
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
-from .numerics import TimeGrid, check_aligned, operator_norms
+from .numerics import TimeGrid, _worker_count, check_aligned, operator_norms
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -150,6 +151,8 @@ def h_ad(
     In the eigenframe i [Gdot, G] has only the excited-ground block i R and
     its adjoint, so it is i (X - X^dag) with X = V_E R V_G^dag.  That is
     added to the evaluated H itself, so the result is exactly Hermitian.
+    For a real H the frames, R and X are real, and the result is complex
+    only from the factor i on.
     """
     ts = np.asarray(ts, dtype=float)
     gdim = flow.ground_dim
@@ -163,9 +166,9 @@ def h_ad(
     _check_derivative_gap(_cluster_gap(vals, ts, gdim, flow.cluster_tol), ts)
     R = _gdot_eigframe(H, ts, vals, vecs, gdim)
     D = vecs[..., gdim:] @ R @ vecs[..., :gdim].conj().swapaxes(-1, -2)
-    del vecs, R  # free the frames, then assemble in place: this sets the peak
+    del vecs, R  # free the frames, then assemble: this sets the peak
     D -= D.conj().swapaxes(-1, -2)
-    D *= 1j
+    D = 1j * D  # out of place: for a real H, D is real up to here
     D += mats
     return D
 
@@ -252,12 +255,28 @@ def run_adiabatic(
     wave-operator errors delta(t) are not computed: pass the run's U, U_ad
     and flow to ``wave_operator_errors`` for them.
 
+    U needs no flow, so with two or more workers (``LRLAB_THREADS``, else
+    the CPU count) it runs on a second thread while this one computes the
+    flow and then U_ad; with one, all three run here in that order.  Errors
+    come in the serial order either way: the flow's, then U's, then U_ad's.
+
     Warns when the measured intertwining defect exceeds 10x the integration
     tolerance, which signals insufficient grid resolution.
     """
-    flow = spectral_flow(H, grid)
-    U = evolve_on_grid(H, grid, tol)
-    U_ad = evolve_adiabatic(H, flow, tol)
+    if _worker_count(2) == 1:
+        flow = spectral_flow(H, grid)
+        U = evolve_on_grid(H, grid, tol)
+        U_ad = evolve_adiabatic(H, flow, tol)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            future = pool.submit(evolve_on_grid, H, grid, tol)
+            flow = spectral_flow(H, grid)
+            try:
+                U_ad = evolve_adiabatic(H, flow, tol)
+            except Exception:
+                future.result()  # U's error comes before U_ad's
+                raise
+            U = future.result()
     delta_ad = adiabatic_error(U, flow)
     defect = intertwining_defect(U_ad, flow)
     if defect > 10.0 * tol:

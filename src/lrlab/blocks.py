@@ -76,8 +76,10 @@ class BlockDecomposition:
 
 
 def _check_hermitian(H: np.ndarray) -> np.ndarray:
-    """A read-only complex copy of H, once checked square, finite and
-    Hermitian, so that later writes to the caller's array cannot reach it."""
+    """A read-only copy of H, once checked square, finite and Hermitian, so
+    that later writes to the caller's array cannot reach it.  The copy is
+    float64 when no entry has a nonzero imaginary part, so that a real H
+    keeps real arithmetic downstream, and complex otherwise."""
     H = np.array(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {H.shape}")
@@ -90,6 +92,9 @@ def _check_hermitian(H: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}"
         )
+    if not H.imag.any():
+        # .real, not astype(float), which warns on every complex input
+        H = H.real.copy()
     H.setflags(write=False)
     return H
 

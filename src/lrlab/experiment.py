@@ -12,7 +12,6 @@ threshold, and fit levels against crossing times.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from .models import (
     TimeDependentHamiltonian,
     build_example_ramp,
 )
-from .numerics import TimeGrid, check_aligned, csv_text, json_text
+from .numerics import TimeGrid, _worker_count, check_aligned, csv_text, json_text
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_THRESHOLD = 6e-4
@@ -275,25 +274,17 @@ def _single_run(config: ExperimentConfig, T: float) -> Fig1Record:
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("LRLAB_THREADS")
-    if cap is not None:
-        try:
-            cap = max(1, int(cap))
-        except ValueError as exc:
-            raise ValidationError("LRLAB_THREADS must be an integer") from exc
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_tasks, cap))
-
-
 def run_fig1(
     config: ExperimentConfig,
 ) -> tuple[list[Fig1Record], dict[float, str], list[Path]]:
     """Run the sweep per total time, then export CSV, JSON, and SVG files.
 
     Individual total-time failures are recorded and do not stop the sweep.
-    Returns (records sorted by T, per-T error strings, written paths).
+    The fig1 artefacts of an earlier sweep that this one did not rewrite
+    (its other fig1_run_T*.json files, its SVGs when this sweep draws none)
+    are removed, so that the directory describes one sweep; no other file
+    is touched.  Returns (records sorted by T, per-T error strings, written
+    paths).
     """
     # a refused LRLAB_THREADS leaves no output directory behind
     workers = _worker_count(len(config.T_values))
@@ -342,12 +333,13 @@ def run_fig1(
         run_path.write_text(json_text(summary))
         paths.append(run_path)
 
+    svg1 = out_dir / "fig1_dad_vs_vlr.svg"
+    svg2 = out_dir / "fig1_vlr_vs_T.svg"
     if len(records) >= 2:
         vs = np.array([r.v_lr_empirical for r in records])
         ds = np.array([r.delta_ad for r in records])
         Ts = np.array([r.T for r in records])
         order = np.argsort(vs)
-        svg1 = out_dir / "fig1_dad_vs_vlr.svg"
         svgplot.line_plot(
             svg1,
             [(vs[order], ds[order], "delta_ad")],
@@ -358,7 +350,6 @@ def run_fig1(
             logy=True,
         )
         paths.append(svg1)
-        svg2 = out_dir / "fig1_vlr_vs_T.svg"
         svgplot.line_plot(
             svg2,
             [(Ts, vs, "V_LR")],
@@ -370,4 +361,7 @@ def run_fig1(
         )
         paths.append(svg2)
 
+    for stale in [*out_dir.glob("fig1_run_T*.json"), svg1, svg2]:
+        if stale not in paths:
+            stale.unlink(missing_ok=True)
     return records, failures, paths

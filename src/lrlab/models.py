@@ -112,7 +112,7 @@ def build_example_ramp(total_time: float) -> LinearInterpolationHamiltonian:
     final matrix is tridiagonal.  Ground gap at t=0 is exactly 0.1.
     """
     d = 11
-    h_i = 0.1 * np.diag(np.arange(d)).astype(complex)
+    h_i = 0.1 * np.diag(np.arange(d))
     h_f = h_i.copy()
     for k in range(d - 1):
         h_f[k, k + 1] += 0.5

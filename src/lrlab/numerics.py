@@ -1,10 +1,12 @@
-"""Shared numerical kernels: time grids, norms, the product logarithm, and
-time-grid quadrature; and the one writer of each artefact text format, the
-17-digit CSV and the sorted, 2-space-indented JSON."""
+"""Shared numerical kernels: time grids, norms, the product logarithm,
+time-grid quadrature and the worker pools' thread count; and the one
+writer of each artefact text format, the 17-digit CSV and the sorted,
+2-space-indented JSON."""
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +51,30 @@ def check_aligned(grid: TimeGrid, *others: TimeGrid) -> None:
         raise ValidationError("time grids do not align")
 
 
+def _worker_count(n_tasks: int) -> int:
+    """Threads for n_tasks independent tasks: LRLAB_THREADS if set, else
+    the CPU count, and never more than the tasks.  A LRLAB_THREADS that is
+    not an integer is refused."""
+    cap = os.environ.get("LRLAB_THREADS")
+    if cap is not None:
+        try:
+            cap = max(1, int(cap))
+        except ValueError as exc:
+            raise ValidationError("LRLAB_THREADS must be an integer") from exc
+    else:
+        cap = os.cpu_count() or 1
+    return max(1, min(n_tasks, cap))
+
+
 def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a (n, rows, cols) stack."""
+    """Largest singular value of each matrix in a (n, rows, cols) stack.  A
+    stack that broadcasts one matrix along axis 0 (stride 0), such as a
+    linear ramp's derivative_batch, takes one SVD."""
     stack = np.asarray(stack)
     if stack.ndim != 3:
         raise ValidationError(f"expected a matrix stack, got ndim={stack.ndim}")
+    if stack.shape[0] > 1 and stack.strides[0] == 0:
+        return np.repeat(operator_norms(stack[:1]), stack.shape[0])
     if not np.all(np.isfinite(stack)):
         raise ValidationError("matrix contains NaN or Inf entries")
     return np.linalg.norm(stack, 2, axis=(1, 2))

@@ -234,8 +234,9 @@ def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
     nodes = np.concatenate(
         [bounds, starts + 0.5 * hs, starts + _GAUSS_LO * hs, starts + _GAUSS_HI * hs]
     )
-    # complex, so that a real-valued evaluate takes the same arithmetic
-    mats = np.asarray(H.evaluate_batch(nodes), dtype=complex)
+    # a real H stays real: the sums of H and [H(0), H(1)] then take real
+    # arithmetic, and the generators turn complex where i enters
+    mats = np.asarray(H.evaluate_batch(nodes))
     Hs, He = mats[:n], mats[1 : n + 1]  # at the substeps' starts and ends
     Hm, Hlo, Hhi = mats[n + 1 :].reshape(3, n, d, d)
     h = hs[:, None, None]

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from lrlab.adiabatic import (
 from lrlab.errors import (
     GapClosureError,
     IllConditionedError,
+    IntegrationError,
     LevelCrossingError,
     ValidationError,
 )
@@ -342,6 +345,81 @@ def test_run_warns_on_a_large_intertwining_defect(monkeypatch):
     with pytest.warns(RuntimeWarning, match="intertwining defect 1.000e"):
         run = run_adiabatic(H, TimeGrid.uniform(1.0, 11), tol=1e-9)
     assert run.intertwining_defect == 1.0
+
+
+def test_run_is_bit_identical_on_one_thread_and_on_two(monkeypatch):
+    """With two workers U runs on a second thread beside the flow and U_ad;
+    with LRLAB_THREADS=1 all three run on the calling thread.  Every number
+    of the run is the same bit for bit either way."""
+    H = build_example_ramp(12.5)
+    grid = TimeGrid.uniform(12.5, 201)
+    threads_of = {}  # is it U (not U_ad)? -> the thread that evolved it
+
+    def recorded_evolve(*args):
+        threads_of[args[0] is H] = threading.get_ident()
+        return evolve_on_grid(*args)
+
+    monkeypatch.setattr(adiabatic, "evolve_on_grid", recorded_evolve)
+    results = {}
+    for threads in ("1", "2", None):
+        if threads is None:
+            monkeypatch.delenv("LRLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LRLAB_THREADS", threads)
+        run = run_adiabatic(H, grid, tol=1e-8)
+        delta, delta_ad = wave_operator_errors(run.U, run.U_ad, run.flow)
+        results[threads] = [
+            run.U.unitaries,
+            run.U_ad.unitaries,
+            run.flow.eigenvalues,
+            run.flow.basis,
+            delta,
+            np.array([run.intertwining_defect, run.delta_ad_final, delta_ad]),
+        ]
+        here = threading.get_ident()
+        if threads == "1":
+            assert threads_of == {True: here, False: here}
+        elif threads == "2":
+            assert threads_of[True] != here == threads_of[False]
+    for threads in ("2", None):
+        for serial, pooled in zip(results["1"], results[threads]):
+            assert np.array_equal(serial, pooled)
+
+
+def test_run_raises_u_error_before_u_ad_error(monkeypatch):
+    """Below the rounding floor both U and U_ad fail to converge, with
+    different defects; run_adiabatic raises U's error, as the serial order
+    does, whether U runs on the calling thread or on a second one."""
+    h_f = [[0.0, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 1.0]]
+    H = LinearInterpolationHamiltonian(np.diag([0.0, 0.5, 1.0]), h_f, 1.0)
+    grid = TimeGrid.uniform(1.0, 3)
+    with pytest.raises(IntegrationError) as alone:
+        evolve_on_grid(H, grid, 1e-16)
+    with pytest.raises(IntegrationError) as ad:
+        evolve_adiabatic(H, spectral_flow(H, grid), 1e-16)
+    assert ad.value.defect != alone.value.defect
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LRLAB_THREADS", threads)
+        with pytest.raises(IntegrationError) as run:
+            run_adiabatic(H, grid, tol=1e-16)
+        assert str(run.value) == str(alone.value)
+        assert run.value.defect == alone.value.defect
+
+
+def test_real_ramp_stays_real_without_complex_warnings():
+    """The bundled ramp's flow and generator frames are float64; only the
+    propagators and H_ad, where i enters, are complex.  No step of the run
+    or of its condition report raises numpy's ComplexWarning."""
+    H = build_example_ramp(5.0)
+    grid = TimeGrid.uniform(5.0, 51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        run = run_adiabatic(H, grid, tol=1e-8)
+        condition_report(H, run.flow, certify(H, 0.5, grid))
+        HA = h_ad(H, run.flow, [0.05, 2.5])
+    assert run.flow.basis.dtype == run.flow.eigenvalues.dtype == np.float64
+    assert HA.dtype == run.U.unitaries.dtype == run.U_ad.unitaries.dtype
+    assert HA.dtype == np.complex128
 
 
 def test_slower_driving_reduces_error():

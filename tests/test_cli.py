@@ -203,6 +203,19 @@ def test_adiabatic_summary(small_cfg_file, tmp_path, capsys):
     assert saved == payload
 
 
+def test_adiabatic_refuses_lrlab_threads_before_writing(
+    small_cfg_file, tmp_path, monkeypatch, capsys
+):
+    """run_adiabatic reads LRLAB_THREADS before any work, so a value that is
+    not an integer exits 1 and leaves no --out directory."""
+    monkeypatch.setenv("LRLAB_THREADS", "x")
+    out = tmp_path / "d"
+    argv = ["adiabatic", "--config", str(small_cfg_file), "--mu", "0.5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "LRLAB_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [

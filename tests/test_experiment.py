@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -263,6 +264,33 @@ def test_run_fig1_deterministic_bytes(tmp_path):
     assert blobs[0].keys() == blobs[1].keys()
     for name in blobs[0]:
         assert blobs[0][name] == blobs[1][name], f"{name} not reproducible"
+
+
+def test_run_fig1_removes_an_earlier_sweeps_artefacts(tmp_path):
+    """A one-point sweep into the directory of a three-point one leaves only
+    its own fig1 artefacts: the other per-run JSON files and the SVGs go
+    (a sweep of fewer than two records draws none), and any other file
+    stays."""
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "fig1_notes.svg").write_text("kept")
+    cfg = ExperimentConfig(
+        T_values=(12.5, 25.0, 50.0),
+        grid_points=201,
+        integrator_tol=1e-7,
+        output_dir=str(out),
+    )
+    _, _, first = run_fig1(cfg)
+    assert {p.name for p in first} <= {p.name for p in out.iterdir()}
+    _, _, second = run_fig1(dataclasses.replace(cfg, T_values=(12.5,)))
+    assert {p.name for p in second} == {"fig1.csv", "fig1_run_T12.5.json"}
+    assert {p.name for p in out.iterdir()} == {
+        "fig1.csv",
+        "fig1_run_T12.5.json",
+        "notes.txt",
+        "fig1_notes.svg",
+    }
 
 
 def test_run_fig1_records_failures_and_continues(tmp_path):

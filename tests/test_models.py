@@ -220,6 +220,23 @@ def test_validated_matrices_are_read_only_copies():
             kept[0, 1] = 5
 
 
+def test_real_input_stays_real_and_complex_input_stays_complex():
+    """A matrix with no nonzero imaginary part is kept as float64, so the
+    bundled ramp evaluates in real arithmetic; the ensemble's complex
+    matrices stay complex."""
+    ramp = build_example_ramp(5.0)
+    ts = np.array([0.0, 2.5])
+    for M in (ramp.h_initial, ramp.h_final, ramp.evaluate_batch(ts), ramp.derivative_batch(ts)):
+        assert M.dtype == np.float64
+    zero_imag = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    assert ConstantHamiltonian(zero_imag).matrix.dtype == np.float64
+    M = random_exp_local(ExpLocalSpec(6, 1.0, 1.0, seed=0))
+    for H in (ConstantHamiltonian(M), LinearInterpolationHamiltonian(M, np.eye(6), 1.0)):
+        assert H.evaluate_batch(ts[:1]).dtype == np.complex128
+        assert np.array_equal(H.evaluate(0.0), M)
+    assert pairwise_decompose(M).matrix.dtype == np.complex128
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_matrices_rejected(bad):
     """Every validated entry point refuses NaN and Inf entries, which the

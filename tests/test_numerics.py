@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lrlab.adiabatic import spectral_flow
 from lrlab.errors import ValidationError
-from lrlab.models import ConstantHamiltonian
+from lrlab.models import ConstantHamiltonian, build_example_ramp
 from lrlab.numerics import TimeGrid, lambert_w, operator_norms, time_average
 from lrlab.propagation import _unitary_steps
 
@@ -82,6 +82,26 @@ def test_operator_norm_rejects_nonfinite():
     M[0, 0, 1] = np.inf
     with pytest.raises(ValidationError):
         operator_norms(M)
+
+
+def test_operator_norms_of_a_broadcast_stack():
+    """A stack that repeats one matrix with stride 0, as a linear ramp's
+    derivative_batch does, takes one SVD; its norms equal those of its
+    materialized copy bit for bit, and a NaN in the one matrix is still
+    refused."""
+    stack = build_example_ramp(5.0).derivative_batch(np.linspace(0.0, 5.0, 50))
+    assert stack.strides[0] == 0
+    norms = operator_norms(stack)
+    assert norms.shape == (50,)
+    assert np.array_equal(norms, operator_norms(stack.copy()))
+    M = random_hermitian(np.random.default_rng(7), 6)
+    assert np.array_equal(
+        operator_norms(np.broadcast_to(M, (3, 6, 6))), operator_norms(np.stack([M] * 3))
+    )
+    bad = M.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(ValidationError):
+        operator_norms(np.broadcast_to(bad, (50, 6, 6)))
 
 
 def test_operator_norm_unitary_invariance():

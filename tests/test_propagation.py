@@ -499,6 +499,15 @@ def test_lr_bound_rhs_distance_falloff():
     assert far == pytest.approx(near * np.exp(-0.7 * 2), rel=1e-12)
 
 
+def test_lr_bound_rhs_prefactor_is_the_smaller_support():
+    """The prefactor is 2 min(|A|, |B|), whichever support is the smaller:
+    a larger prefactor loosens the bound and hides violations."""
+    mu, growth = 0.5, 1.5
+    tail = np.exp(-mu * 4) * np.expm1(growth)
+    assert lr_bound_rhs(Block([0]), Block([4, 5]), mu, growth) == 2.0 * tail
+    assert lr_bound_rhs(Block([5, 6, 7]), Block([0, 1]), mu, growth) == 4.0 * tail
+
+
 def test_lr_bound_rhs_overlap_rejected():
     with pytest.raises(ValidationError):
         lr_bound_rhs(Block([0, 1]), Block([1, 2]), 0.5, 1.0 * 1.0)
@@ -595,16 +604,20 @@ def test_audit_checks_the_locality_hypothesis():
     grid = TimeGrid.uniform(2.0, 401)
     A, B = Block([3]), Block([6])
 
-    # understated at a single grid point, every margin still positive
+    # understated at two grid points, at 200 by 1% and at 100 by one part in
+    # 10^6 (the comparison's slack is rounding, not a tolerance), every
+    # margin still positive
     H = ConstantHamiltonian(M)
     cert = certify(H, 0.5, grid)
+    assert cert.understated(H).size == 0
     samples = cert.a_mu_samples.copy()
     samples[200] *= 0.99
+    samples[100] *= 1.0 - 1e-6
     dipped = dataclasses.replace(cert, a_mu_samples=samples)
     report = bound_audit(H, A, B, dipped, evolve_on_grid(H, grid, 1e-10))
     assert report.margin[1:].min() > 0.0
-    assert report.violations.tolist() == [200]
-    assert report.to_json_summary()["violations"] == 1
+    assert report.violations.tolist() == [100, 200]
+    assert report.to_json_summary()["violations"] == 2
 
     # margin violations at 3 and 7, understated at 7 and 9: each index once
     margin = np.zeros(12)
