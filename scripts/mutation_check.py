@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Mutation check of lrlab's fast paths: do the Tier-1 tests bite?
+
+Each row of ROWS names a file, an exact text in it, the text that replaces
+it and what the change breaks.  For each row the script copies the source
+checkout into a temporary directory, applies the row to the copy, runs the
+Tier-1 suite there with -x under a TIMEOUT of 600 s, and prints KILLED (a
+test failed), SURVIVED (the suite passed) or TIMEOUT.  The checkout itself
+is never written.
+
+Every row's old text must occur exactly once in its file; otherwise the
+script stops before any suite runs, so a refactor that moves the text cannot
+skip the row in silence.  A surviving row wants a test that fails on the
+mutated copy and passes on the checkout.
+
+    python3 scripts/mutation_check.py
+
+Run it from anywhere; it finds the checkout from its own path.  It exits 0
+when every row is killed, 1 when one survives or times out, and 2 when a row
+does not match.  It is not part of Tier-1: a surviving row costs a full
+suite run (about 15-20 s on a 2-vCPU VM).
+"""
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROP = "src/lrlab/propagation.py"
+TIMEOUT = 600.0  # seconds per row
+
+# (file, exact old text, new text, what the change breaks)
+ROWS = [
+    (
+        PROP,
+        "_refinement_defect(ends[1], ends[0], tol)",
+        "_refinement_defect(ends[1], ends[1], tol)",
+        "the streamed level defect compares U6 with itself",
+    ),
+    (
+        PROP,
+        "            defect = max(defect, _refinement_defect(",
+        "            if s0 + _BATCH_SUBSTEPS < total:\n"
+        "                defect = max(defect, _refinement_defect(",
+        "the last batch's checkpoints are stored but never checked",
+    ),
+    (
+        PROP,
+        "                U = _reunitarize(U)\n",
+        "                pass\n",
+        "the polar re-orthonormalization of the running product is dropped",
+    ),
+    (
+        PROP,
+        "tail *= y / (p + 1)",
+        "tail *= y / (p + 3)",
+        "the Taylor tail bound falls too fast, so the degree is too low",
+    ),
+    (
+        PROP,
+        "prefactor = 2.0 * min(supp_a.size, supp_b.size)",
+        "prefactor = 2.0 * max(supp_a.size, supp_b.size)",
+        "the bound's prefactor takes the larger support",
+    ),
+    (
+        "src/lrlab/locality.py",
+        "_LOAD_RTOL = 1e-12",
+        "_LOAD_RTOL = 1e-3",
+        "an a_mu understated by up to 0.1% is not flagged",
+    ),
+]
+
+TIER1 = [
+    sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+    "--continue-on-collection-errors",
+]
+IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_build", "out"
+)
+
+
+def check_rows(root: Path, rows=ROWS) -> None:
+    """Raise ValueError naming every row whose old text does not occur
+    exactly once in its file under root."""
+    bad = []
+    for path, old, _, breaks in rows:
+        count = (root / path).read_text().count(old)
+        if count != 1:
+            bad.append(f"{path}: {breaks}: old text found {count} times")
+    if bad:
+        raise ValueError("rows that do not match:\n  " + "\n  ".join(bad))
+
+
+def run_row(row) -> str:
+    """Apply one row to a fresh copy of the checkout and run Tier-1 there."""
+    path, old, new, _ = row
+    with tempfile.TemporaryDirectory(prefix="lrlab-mutation-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        check_rows(copy, [row])  # the checkout may have changed since
+        target = copy / path
+        target.write_text(target.read_text().replace(old, new, 1))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        proc = subprocess.Popen(
+            TIER1, cwd=copy, env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            code = proc.wait(timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "TIMEOUT"
+    return "SURVIVED" if code == 0 else "KILLED"
+
+
+def main() -> int:
+    results = []
+    try:
+        check_rows(ROOT)
+        for row in ROWS:
+            results.append(run_row(row))
+            print(f"{results[-1]:8}  {row[0]}: {row[3]}", flush=True)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return 2
+    return 0 if all(r == "KILLED" for r in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

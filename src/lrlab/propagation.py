@@ -29,7 +29,9 @@ nodes:
 The midpoint is also the middle Gauss node, and neighbouring substeps share
 their ends, so a substep evaluates H at four new times.  The chains of
 exp(Omega6) and exp(Omega4) steps, U6 and U4, run side by side: U6 is
-returned and U4 only checks it.  max over checkpoints of ||U4 - U6|| is
+returned and U4 only checks it.  So a level keeps U6's checkpoints alone;
+U4's pass through a buffer of one batch of substeps, where they are
+compared with U6's and dropped.  max over checkpoints of ||U4 - U6|| is
 about U4's error, O(h^4), so it overstates U6's, O(h^6).  The companion
 has a quadrature of its own on purpose.  The fourth-order generator at
 the same Gauss nodes, a1 + a3/12 - C1/12, equals Omega6 whenever H(t)
@@ -52,7 +54,10 @@ sqrt(n_int m) d 2^-53 are both below the tolerance.  The floor stands for
 the rounding the two chains share, which their difference cannot see: the
 n_int m rounded products of d x d unitaries behind the last checkpoint.
 Otherwise m doubles, and the doubling stops with an IntegrationError once
-it no longer lowers the level's defect.
+it no longer lowers the level's defect.  A failed level's checkpoints are
+freed before the next level's are made, and the accepted ones become the
+Propagator's unitaries uncopied, so evolve_on_grid peaks near one
+(len(grid), d, d) array, not four.
 
 A ConstantHamiltonian skips the integrator: U(t) = V e^(-i t w) V^dag
 from one eigh of H = V diag(w) V^dag serves every checkpoint, with U(0)
@@ -166,23 +171,11 @@ class Propagator:
         return int(self.unitaries.shape[-1])
 
 
-def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Batched exp(-i h M) for stacked Hermitian matrices M, by a
-    scaling-and-squaring Taylor series (Moler & Van Loan 2003; Al-Mohy &
-    Higham 2009), in matrix products only.
-
-    A = -i h M.  For Hermitian M, ||A||_2 <= ||A||_1, so x, the largest
-    ||A||_1 over the batch, bounds every operator norm.  With s the least
-    power with y = x / 2^s <= 1/2, the series of exp(A / 2^s) is cut at the
-    least degree p with y^(p+1)/(p+1)! e^y <= 2^-53, a bound on the dropped
-    tail; it is evaluated by Horner and squared s times.  A non-finite A is
-    rejected before s and p are chosen.
-    """
-    with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused below
-        A = mats * (-1j * hs)[:, None, None]
-    x = float(np.abs(A).sum(axis=-2).max())
-    if not np.isfinite(x):
-        raise ValidationError("Hamiltonian contains NaN or Inf entries")
+def _taylor_plan(x: float) -> tuple[int, int]:
+    """Squarings s and Taylor degree p for exp(A) with ||A|| <= x: s is the
+    least power with y = x / 2^s <= 1/2, and p the least degree with
+    y^(p+1)/(p+1)! e^y <= 2^-53, a bound on the dropped tail of the series
+    of exp(A / 2^s)."""
     s, y = 0, x
     while y > 0.5:
         s, y = s + 1, y / 2.0
@@ -190,6 +183,26 @@ def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
     while tail > _UNIT_ROUNDOFF:
         p += 1
         tail *= y / (p + 1)
+    return s, p
+
+
+def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Batched exp(-i h M) for stacked Hermitian matrices M, by a
+    scaling-and-squaring Taylor series (Moler & Van Loan 2003; Al-Mohy &
+    Higham 2009), in matrix products only.
+
+    A = -i h M.  For Hermitian M, ||A||_2 <= ||A||_1, so x, the largest
+    ||A||_1 over the batch, bounds every operator norm.  The series of
+    exp(A / 2^s) is cut at the degree p that _taylor_plan(x) chooses, so
+    that its dropped tail is below 2^-53; it is evaluated by Horner and
+    squared s times.  A non-finite A is rejected before s and p are chosen.
+    """
+    with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused below
+        A = mats * (-1j * hs)[:, None, None]
+    x = float(np.abs(A).sum(axis=-2).max())
+    if not np.isfinite(x):
+        raise ValidationError("Hamiltonian contains NaN or Inf entries")
+    s, p = _taylor_plan(x)
     A *= 2.0**-s
     diag = np.arange(A.shape[-1])
     # Horner: E = I + A/k E for k = p, ..., 1, starting from E = I
@@ -253,10 +266,13 @@ def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
     return np.stack([M4, M6])
 
 
-def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
-    """Checkpoints of the fourth- and sixth-order chains, stacked as
-    (U4, U6) with shape (2, len(grid), d, d), from m substeps per grid
-    interval (see the module docstring).
+def _checkpoints_fixed(
+    H, grid: TimeGrid, m: int, tol: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """U6's checkpoints, shape (len(grid), d, d), from m substeps per grid
+    interval, with the level's refinement defect, max over checkpoints of
+    ||U6 - U4|| as _refinement_defect reads it against tol, and U4's final
+    running product (see the module docstring).
 
     Substep k of interval g is the flat substep s = g m + k, which starts at
     pts[g] + (k/m) widths[g]; it ends where substep s + 1 starts, so the two
@@ -264,9 +280,11 @@ def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
     _BATCH_SUBSTEPS, and each batch is composed into factors of
     min(m, _BATCH_SUBSTEPS) substeps: whole intervals, or, for
     m > _BATCH_SUBSTEPS, pieces of one.  Both are powers of two, so no factor
-    straddles an interval end.  The running product (U4, U6) stores a
-    checkpoint at every interval end and is re-orthonormalized every
-    _POLAR_EVERY of them.
+    straddles an interval end.  The running product (U4, U6) is
+    re-orthonormalized every _POLAR_EVERY interval ends.  The checkpoints a
+    batch reaches go into a per-batch buffer of both chains: U6's are copied
+    into the returned array and U4's are only compared with them, so the
+    level holds one full set of checkpoints, not two.
     """
     pts = grid.points
     d = H.dimension
@@ -274,9 +292,10 @@ def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
     padded = np.append(widths, 0.0)  # so that the last boundary is pts[-1]
     total = widths.size * m
     per_factor = min(m, _BATCH_SUBSTEPS)
-    out = np.empty((2, len(pts), d, d), dtype=complex)
-    out[:, 0] = np.eye(d)
-    U = out[:, 0].copy()
+    out = np.empty((len(pts), d, d), dtype=complex)
+    out[0] = np.eye(d)
+    U = np.stack([out[0], out[0]])
+    defect = 0.0
     for s0 in range(0, total, _BATCH_SUBSTEPS):
         g, k = np.divmod(np.arange(s0, min(total, s0 + _BATCH_SUBSTEPS) + 1), m)
         bounds = pts[g] + (k / m) * padded[g]
@@ -284,14 +303,19 @@ def _checkpoints_fixed(H, grid: TimeGrid, m: int) -> np.ndarray:
         gens = _magnus_generators(H, bounds, hs)
         steps = _unitary_steps(gens.reshape(-1, d, d), np.concatenate([hs, hs]))
         factors = _compose(steps.reshape(2, -1, per_factor, d, d)).swapaxes(0, 1)
+        # checkpoints g[0] + 1, ..., g[-1] end in this batch
+        ends = np.empty((2, g[-1] - g[0], d, d), dtype=complex)
         for f, factor in enumerate(factors, start=s0 // per_factor + 1):
             U = factor @ U
             end = f * per_factor  # flat index just past the factor
             if end % (m * _POLAR_EVERY) == 0:
                 U = _reunitarize(U)
             if end % m == 0:
-                out[:, end // m] = U
-    return out
+                ends[:, end // m - g[0] - 1] = U
+        if g[-1] > g[0]:
+            out[g[0] + 1 : g[-1] + 1] = ends[1]
+            defect = max(defect, _refinement_defect(ends[1], ends[0], tol))
+    return out, defect, U[0]
 
 
 def _unitarity_defect(unitaries: np.ndarray) -> float:
@@ -307,16 +331,19 @@ def _unitarity_defect(unitaries: np.ndarray) -> float:
 def _refinement_defect(cur: np.ndarray, prev: np.ndarray, tol: float) -> float:
     """max over checkpoints of ||cur - prev||, exact wherever it reaches tol.
 
-    The Frobenius norm bounds the operator norm from above, so checkpoints
-    whose Frobenius difference is below tol cannot fail the test and skip
-    the SVD; if none is left, the largest Frobenius difference is returned.
+    The Frobenius norm bounds the operator norm from above, so a checkpoint
+    whose Frobenius difference is below tol cannot fail the test: it counts
+    with that Frobenius norm and skips the SVD.  The result is below tol
+    exactly when the operator-norm maximum is, and equals it otherwise.  It
+    is a maximum over checkpoints, so a level's defect is the largest of its
+    batches'.
     """
     diff = cur - prev
     fro = np.linalg.norm(diff, axis=(1, 2))
     near = ~(fro < tol)  # NaN included, so operator_norms rejects it
-    if not near.any():
-        return float(fro.max())
-    return float(operator_norms(diff[near]).max())
+    if near.any():
+        fro[near] = operator_norms(diff[near])
+    return float(fro.max())
 
 
 def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
@@ -334,10 +361,13 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     a level's defect is the larger of max over checkpoints of ||U4 - U6||
     in operator norm and the rounding floor sqrt(n_int m) d 2^-53 that both
     chains share; the first level whose defect is below tol is accepted,
-    and U6 returned.  step is then the widest grid interval over m.  The
-    Simpson companion is what lets the check see quadrature error: a
-    companion at the Gauss nodes agrees with U6 for any H(t) that commutes
-    with itself, however coarse the step.
+    and its U6 checkpoints, the one (len(grid), d, d) array a level holds,
+    become the Propagator's unitaries uncopied.  U4's checkpoints are
+    compared with U6's batch by batch and never stored whole, and a failed
+    level's array is freed before the next is made.  step is then the
+    widest grid interval over m.  The Simpson companion is what lets the
+    check see quadrature error: a companion at the Gauss nodes agrees with
+    U6 for any H(t) that commutes with itself, however coarse the step.
 
     Refinement that stops paying raises IntegrationError, whose defect is
     the smallest level defect reached: after 20 doublings of m, or as soon
@@ -360,14 +390,14 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     best, stalls = np.inf, 0
     for halvings in range(21):
         m = 2**halvings
-        check, cur = _checkpoints_fixed(H, grid, m)
+        U, defect, _ = _checkpoints_fixed(H, grid, m, tol)
         floor = np.sqrt(n_int * m) * H.dimension * _UNIT_ROUNDOFF
-        defect = max(_refinement_defect(cur, check, tol), floor)
+        defect = max(defect, floor)
         if defect < tol:
             width = float(np.max(np.diff(grid.points)))
-            # a copy, so that the check chain's checkpoints are freed
-            U = cur.copy()
             return Propagator(grid=grid, unitaries=U, step=width / m, tolerance=tol)
+        # freed before the next level allocates its own
+        del U
         best, stalls = (defect, 0) if defect < best else (best, stalls + 1)
         if stalls == 2 and best < _STALL_FLOOR:
             break

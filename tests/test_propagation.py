@@ -1,4 +1,8 @@
 import dataclasses
+import math
+import tracemalloc
+import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from lrlab.propagation import (
     _checkpoints_fixed,
     _magnus_generators,
     _refinement_defect,
+    _taylor_plan,
     _unitarity_defect,
     _unitary_steps,
     bound_audit,
@@ -93,12 +98,11 @@ def test_fourth_order_convergence():
     H = build_example_ramp(10.0)
     grid = TimeGrid.uniform(10.0, 11)
     ref = gauss2_magnus_propagator(H, grid.points, 256)[-1]
-    errs = np.array(
-        [
-            [operator_norm(U[-1] - ref) for U in _checkpoints_fixed(H, grid, m)]
-            for m in (1, 2, 4)
-        ]
-    )  # columns: U4, U6
+    errs = []
+    for m in (1, 2, 4):
+        U6, _, U4_final = _checkpoints_fixed(H, grid, m, 1e-9)
+        errs.append([operator_norm(U4_final - ref), operator_norm(U6[-1] - ref)])
+    errs = np.array(errs)  # columns: U4, U6
     ratios = errs[:-1] / errs[1:]
     np.testing.assert_allclose(ratios[:, 0], 16.0, rtol=0.2)
     np.testing.assert_allclose(ratios[:, 1], 64.0, rtol=0.2)
@@ -125,7 +129,7 @@ def test_constant_hamiltonian_closed_form_matches_oracles():
     prop = evolve_on_grid(H, grid, tol)
     taylor = np.stack([taylor_unitary_exp(-1j * t * M) for t in grid.points])
     assert operator_norms(prop.unitaries - taylor).max() <= 1e-12
-    magnus = _checkpoints_fixed(H, grid, 1)[1]
+    magnus = _checkpoints_fixed(H, grid, 1, tol)[0]
     assert operator_norms(prop.unitaries - magnus).max() <= 1e-11
     assert np.array_equal(prop.unitaries[0], np.eye(9))
     assert prop.step == 0.0
@@ -168,6 +172,30 @@ def test_unitary_steps_reject_a_nonfinite_generator(bad):
     mats[1, 0, 2] = bad
     with pytest.raises(ValidationError):
         _unitary_steps(mats, np.full(2, 0.1))
+
+
+def test_taylor_plan_takes_the_least_degree_that_meets_the_tail_bound():
+    """Against exact rational arithmetic: s is the least power with
+    y = x / 2^s <= 1/2, and p the least degree with
+    y^(p+1)/(p+1)! e^y <= 2^-53.  y is a float, so exact as a Fraction;
+    e^y is bracketed by its Taylor sum to degree 30, below, and that sum
+    plus twice its next term, above (the remainder's bound for y <= 1/2).
+    The sample reaches every degree from 0 to 14."""
+    unit = Fraction(1, 2**53)
+    xs = [0.0, 5e-324, 1e-17, 0.5, np.nextafter(0.5, 1.0), 3.0, 50.0]
+    xs += list(np.geomspace(1e-12, 64.0, 401))
+    degrees = set()
+    for x in xs:
+        s, p = _taylor_plan(float(x))
+        y = Fraction(float(x)) / 2**s
+        assert y <= Fraction(1, 2) and (s == 0 or 2 * y > Fraction(1, 2))
+        terms = [y**k / math.factorial(k) for k in range(32)]
+        exp_lo = sum(terms[:31])
+        exp_hi = exp_lo + 2 * terms[31]
+        assert terms[p + 1] * exp_hi <= unit
+        assert p == 0 or terms[p] * exp_lo > unit
+        degrees.add(p)
+    assert degrees == set(range(15))
 
 
 class _BlowUp(TimeDependentHamiltonian):
@@ -336,9 +364,9 @@ def test_nonconvergence_stops_once_refinement_stalls(monkeypatch):
     two levels after its smallest defect, not after 20 halvings."""
     calls = []
 
-    def counted(H, grid, m):
+    def counted(H, grid, m, tol):
         calls.append(m)
-        return _checkpoints_fixed(H, grid, m)
+        return _checkpoints_fixed(H, grid, m, tol)
 
     monkeypatch.setattr(propagation, "_checkpoints_fixed", counted)
     H = LinearInterpolationHamiltonian(
@@ -394,17 +422,93 @@ def test_fig1_ladder_accepts_one_substep(T):
 
 def test_intervals_split_across_batches_match_whole_ones(monkeypatch):
     """With _BATCH_SUBSTEPS below m, each interval's product is composed
-    from several batches.  The checkpoints of both chains agree with
+    from several batches, and only every fourth batch reaches a checkpoint.
+    U6's checkpoints, U4's final product and the level defect, read exactly
+    (tol 1e-12) or from Frobenius norms (tol 1e-6), agree with
     whole-interval batches to rounding (each batch picks its own Taylor
     degree), with the polar re-orthonormalization landing on the same
     interval ends."""
     H = build_example_ramp(2.0)
     grid = TimeGrid.uniform(2.0, 6)
     monkeypatch.setattr(propagation, "_POLAR_EVERY", 2)
-    whole = _checkpoints_fixed(H, grid, 8).reshape(-1, 11, 11)
-    monkeypatch.setattr(propagation, "_BATCH_SUBSTEPS", 2)
-    split = _checkpoints_fixed(H, grid, 8).reshape(-1, 11, 11)
-    assert operator_norms(split - whole).max() <= 1e-13
+    for tol in (1e-12, 1e-6):
+        monkeypatch.setattr(propagation, "_BATCH_SUBSTEPS", 256)
+        whole = _checkpoints_fixed(H, grid, 8, tol)
+        monkeypatch.setattr(propagation, "_BATCH_SUBSTEPS", 2)
+        split = _checkpoints_fixed(H, grid, 8, tol)
+        assert operator_norms(split[0] - whole[0]).max() <= 1e-13
+        assert operator_norm(split[2] - whole[2]) <= 1e-13
+        assert abs(split[1] - whole[1]) <= 1e-13
+        assert whole[1] > 1e-10  # a defect the chains' rounding cannot hide
+
+
+@pytest.fixture(scope="module")
+def long_small_run():
+    """A real 4-level linear ramp on 20,001 points (m = 1), evolved under
+    tracemalloc: the propagator and the peak of traced memory."""
+    rng = np.random.default_rng(5)
+    Hi, Hf = rng.standard_normal((2, 4, 4))
+    H = LinearInterpolationHamiltonian(Hi + Hi.T, Hf + Hf.T, 20.0)
+    grid = TimeGrid.uniform(20.0, 20001)
+    tracemalloc.start()
+    try:
+        prop = evolve_on_grid(H, grid, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return prop, peak
+
+
+def test_evolve_holds_one_set_of_checkpoints(long_small_run):
+    """The level keeps U6's checkpoints alone and returns them uncopied;
+    U4's are compared batch by batch.  Measured: 1.32x the result, against
+    4.0x when both chains' checkpoints, their difference and a copy were
+    held."""
+    prop, peak = long_small_run
+    assert prop.step == pytest.approx(20.0 / 20000, rel=1e-12)
+    assert peak <= 1.5 * prop.unitaries.nbytes
+
+
+def test_polar_step_keeps_a_long_run_unitary(long_small_run, monkeypatch):
+    """The running product is projected onto the unitaries at every
+    _POLAR_EVERY-th interval end, and that projection is the checkpoint
+    stored there.  Over 20,000 intervals it holds the unitarity defect at
+    6.9e-15; with the projection never taken it reads 1.2e-13."""
+    prop, _ = long_small_run
+    assert prop.unitarity_defect <= 3e-14
+    reunitarize, projected = propagation._reunitarize, []
+
+    def spy(U):
+        projected.append(reunitarize(U))
+        return projected[-1]
+
+    monkeypatch.setattr(propagation, "_reunitarize", spy)
+    U6, _, _ = _checkpoints_fixed(
+        build_example_ramp(12.5), TimeGrid.uniform(12.5, 1025), 1, 1e-9
+    )
+    assert len(projected) == 1024 // propagation._POLAR_EVERY == 4
+    for j, W in enumerate(projected, start=1):
+        assert np.array_equal(U6[j * propagation._POLAR_EVERY], W[1])
+
+
+def test_a_failed_level_is_freed_before_the_next_is_made(monkeypatch):
+    """Each level's checkpoint array is gone by the time the next level
+    starts, so a refined run holds one level's checkpoints at a time."""
+    alive, levels = [], []
+
+    def tracked(H, grid, m, tol):
+        alive.extend(ref() is not None for ref in levels)
+        got = _checkpoints_fixed(H, grid, m, tol)
+        levels.append(weakref.ref(got[0]))
+        return got
+
+    monkeypatch.setattr(propagation, "_checkpoints_fixed", tracked)
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    H = LinearInterpolationHamiltonian(20.0 * sx, 20.0 * sz, 1.0)
+    prop = evolve_on_grid(H, TimeGrid.uniform(1.0, 5), 1e-9)
+    assert len(levels) > 3 and prop.step < 1.0 / 4
+    assert not any(alive)
 
 
 class _CosPulse(TimeDependentHamiltonian):

@@ -5,6 +5,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import lrlab.cli
 from lrlab.experiment import ExperimentConfig
 
@@ -54,3 +56,16 @@ def test_fig1_script_overrides_only_the_flags_given(monkeypatch, capsys, tmp_pat
     assert (config.T_values, config.grid_points) == ((12.5, 25.0), 401)
     assert config.threshold == default.threshold
     assert config.integrator_tol == default.integrator_tol
+
+
+def test_mutation_rows_each_match_exactly_once(tmp_path):
+    """Every row of scripts/mutation_check.py finds its old text once in the
+    source, and a row that does not match is refused before any suite runs."""
+    script = _load("mutation_check")
+    script.check_rows(script.ROOT)
+    (tmp_path / "f.py").write_text("x = 1\nx = 1\n")
+    rows = [("f.py", "x = 1", "x = 2", "twice"), ("f.py", "y", "z", "absent")]
+    with pytest.raises(ValueError, match="twice: old text found 2 times"):
+        script.check_rows(tmp_path, rows)
+    with pytest.raises(ValueError, match="absent: old text found 0 times"):
+        script.check_rows(tmp_path, rows[1:])
