@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PROP = "src/lrlab/propagation.py"
+ADIA = "src/lrlab/adiabatic.py"
 TIMEOUT = 600.0  # seconds per row
 
 # (file, exact old text, new text, what the change breaks)
@@ -71,6 +72,18 @@ ROWS = [
         "_LOAD_RTOL = 1e-12",
         "_LOAD_RTOL = 1e-3",
         "an a_mu understated by up to 0.1% is not flagged",
+    ),
+    (
+        ADIA,
+        "np.diff(vals, axis=1) > CLUSTER_TOL",
+        "np.diff(vals, axis=1) > 10 * CLUSTER_TOL",
+        "the level kernel chains eigenvalues up to 1e-7 apart into one level",
+    ),
+    (
+        ADIA,
+        "ends = _level_ends(flow.eigenvalues[:, gdim:])",
+        "ends = np.ones_like(flow.eigenvalues[:, gdim:], dtype=bool)",
+        "condition_report counts every excited column a level of its own",
     ),
 ]
 

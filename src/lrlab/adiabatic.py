@@ -1,16 +1,18 @@
 """Spectral flow, the adiabatic intertwiner, and the adiabatic-condition chain.
 
-For a Hamiltonian whose lowest eigenvalue cluster stays separated by a gap,
-the spectral projector G(t) is transported exactly by the unitary generated
-by  H_ad(t) = H(t) + i [Gdot(t), G(t)]  (the intertwining property
-U_ad G(0) U_ad^dag = G(t)).  The mismatch between the true evolution U and
-U_ad is captured by the wave operator Omega = U_ad^dag U, its deviation
-delta(t) = ||1 - Omega||, and the final ground-space leakage delta_ad.
+A level of H(t) is a run of eigenvalues each at most CLUSTER_TOL above the
+one before (``_level_ends``), so the gap above the ground level G exceeds
+CLUSTER_TOL.  While G keeps its dimension, its projector G(t) is transported
+exactly by the unitary generated by  H_ad(t) = H(t) + i [Gdot(t), G(t)]
+(the intertwining property U_ad G(0) U_ad^dag = G(t)).  The mismatch
+between the true evolution U and U_ad is captured by the wave operator
+Omega = U_ad^dag U, its deviation delta(t) = ||1 - Omega||, and the final
+ground-space leakage delta_ad.
 Gdot is computed from first-order perturbation theory,
 
     Gdot = sum_{k outside, g inside} |k><k| Hdot |g><g| / (E_g - E_k) + h.c.,
 
-which is exact for an isolated cluster and avoids finite-difference noise.
+which is exact for an isolated level and avoids finite-difference noise.
 
 In the energy basis everything the layer measures is one block: how the
 excited columns V_E(t) of an eigenframe meet the ground columns V_G,
@@ -26,10 +28,10 @@ I 4.6).  No d x d projector is formed.  On the grid the frames
 are the flow's; h_ad diagonalizes H itself at times off the grid.
 
 The eigenframes are eigh's as they come: each column is fixed only up to a
-phase, and the columns of a degenerate level (the ground cluster, or an
-excited level) only up to a unitary rotation inside it.  Everything read
-from them is invariant under both: moduli of amplitudes, operator norms of
-the block, and Frobenius norms of its rows grouped by level.
+phase, and the columns of a level (the ground level, or an excited one)
+only up to a unitary rotation inside it.  Everything read from them is
+invariant under both: moduli of amplitudes, operator norms of the block,
+and Frobenius norms of its rows grouped by level.
 """
 
 from __future__ import annotations
@@ -40,38 +42,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapClosureError, IllConditionedError, LevelCrossingError
+from .errors import GapClosureError, LevelCrossingError
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
 from .numerics import TimeGrid, _worker_count, check_aligned, operator_norms
 from .propagation import Propagator, evolve_on_grid
 
-DEFAULT_CLUSTER_TOL = 1e-8
-MIN_DERIVATIVE_GAP = 1e-8
+CLUSTER_TOL = 1e-8
 
 
 @dataclass(eq=False)
 class SpectralFlow:
-    """Eigen-data of H(t) along a grid with a tracked ground cluster."""
+    """Eigen-data of H(t) along a grid with a tracked ground level."""
 
     grid: TimeGrid
     eigenvalues: np.ndarray  # (times, dim), ascending
     # (times, dim, dim), eigh's eigenvector columns: each fixed only up to a
-    # phase, and the columns of a degenerate level up to a rotation inside it
+    # phase, and the columns of a level up to a rotation inside it
     basis: np.ndarray
-    gap: np.ndarray  # (times,)
+    gap: np.ndarray  # (times,), each above CLUSTER_TOL
     gap_min: float
     ground_dim: int
-    cluster_tol: float
 
 
-def _cluster_gap(
-    vals: np.ndarray, ts: np.ndarray, gdim: int, cluster_tol: float
-) -> np.ndarray:
-    """Gap above the ground cluster at each time, after checking that the
-    cluster (eigenvalues within cluster_tol of the lowest) spans gdim levels
-    at every time.  That forces vals[:, gdim] > vals[:, gdim - 1]."""
-    dims = (vals - vals[:, :1] <= cluster_tol).sum(axis=1)
+def _level_ends(vals: np.ndarray) -> np.ndarray:
+    """The mask of each level's highest column in ascending eigenvalues vals
+    (times, dim): a column ends its level unless the next eigenvalue lies at
+    most CLUSTER_TOL above it.  Every reader of levels goes through here."""
+    ends = np.ones(vals.shape, dtype=bool)
+    ends[:, :-1] = np.diff(vals, axis=1) > CLUSTER_TOL
+    return ends
+
+
+def _ground_gap(vals: np.ndarray, ts: np.ndarray, gdim: int) -> np.ndarray:
+    """Gap above the ground level at each time, after checking that the
+    level spans gdim columns at every time; so every gap exceeds CLUSTER_TOL."""
+    dims = np.argmax(_level_ends(vals), axis=1) + 1
     if np.any(dims != gdim):
         k = int(np.nonzero(dims != gdim)[0][0])
         raise LevelCrossingError(
@@ -81,22 +87,18 @@ def _cluster_gap(
     return vals[:, gdim] - vals[:, gdim - 1]
 
 
-def spectral_flow(
-    H: TimeDependentHamiltonian,
-    grid: TimeGrid,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-) -> SpectralFlow:
-    """Diagonalize H along the grid and track the ground cluster.
+def spectral_flow(H: TimeDependentHamiltonian, grid: TimeGrid) -> SpectralFlow:
+    """Diagonalize H along the grid and track the ground level.
 
-    The cluster is the set of eigenvalues within cluster_tol of the lowest;
-    its dimension must stay constant across the grid and the gap to the rest
-    of the spectrum must stay positive.
+    The ground level is the lowest run of eigenvalues each at most
+    CLUSTER_TOL above the one before.  Its dimension must stay constant
+    across the grid, and a level must lie above it, more than CLUSTER_TOL up.
     """
     vals, vecs = np.linalg.eigh(H.evaluate_batch(grid.points))
-    gdim = int(np.sum(vals[0] - vals[0, 0] <= cluster_tol))
+    gdim = int(np.argmax(_level_ends(vals[:1])[0])) + 1
     if gdim >= H.dimension:
         raise GapClosureError("the ground cluster spans the whole spectrum")
-    gap = _cluster_gap(vals, grid.points, gdim, cluster_tol)
+    gap = _ground_gap(vals, grid.points, gdim)
     return SpectralFlow(
         grid=grid,
         eigenvalues=vals,
@@ -104,20 +106,7 @@ def spectral_flow(
         gap=gap,
         gap_min=float(gap.min()),
         ground_dim=gdim,
-        cluster_tol=cluster_tol,
     )
-
-
-def _check_derivative_gap(gap: np.ndarray, ts: np.ndarray) -> None:
-    """Refuse gaps at or below MIN_DERIVATIVE_GAP, where the projector
-    derivative's 1/(E_g - E_k) blows up."""
-    low = gap <= MIN_DERIVATIVE_GAP
-    if np.any(low):
-        k = int(np.nonzero(low)[0][0])
-        raise IllConditionedError(
-            f"gap {gap[k]:.3e} below {MIN_DERIVATIVE_GAP} at t={ts[k]}: "
-            "projector derivative is ill-conditioned"
-        )
 
 
 def _excited_ground(V: np.ndarray, W: np.ndarray, VG: np.ndarray) -> np.ndarray:
@@ -145,8 +134,8 @@ def h_ad(
     """Adiabatic generator H(t) + i [Gdot(t), G(t)] at each of the times ts,
     shape (len(ts), dim, dim).  The times need not lie on the flow's grid:
     H is diagonalized at each time off it, and the flow's eigen-data, of
-    that same H, serve the times on it.  The cluster size and cluster_tol
-    are the flow's.
+    that same H, serve the times on it.  The ground level must keep the
+    flow's dimension at every time, so every gap E_k - E_g exceeds CLUSTER_TOL.
 
     In the eigenframe i [Gdot, G] has only the excited-ground block i R and
     its adjoint, so it is i (X - X^dag) with X = V_E R V_G^dag.  That is
@@ -163,7 +152,7 @@ def h_ad(
     vals, vecs = flow.eigenvalues[k], flow.basis[k]
     if off.any():
         vals[off], vecs[off] = np.linalg.eigh(mats[off])
-    _check_derivative_gap(_cluster_gap(vals, ts, gdim, flow.cluster_tol), ts)
+    _ground_gap(vals, ts, gdim)
     R = _gdot_eigframe(H, ts, vals, vecs, gdim)
     D = vecs[..., gdim:] @ R @ vecs[..., :gdim].conj().swapaxes(-1, -2)
     del vecs, R  # free the frames, then assemble: this sets the peak
@@ -339,9 +328,10 @@ def condition_report(
 
     In the eigenbasis of H(t), H - H_ad = -i [Gdot, G] has only the
     excited-ground blocks -i R and their adjoint (see ``_gdot_eigframe``).
-    So ||H - H_ad|| is the top singular value of R.  Excited levels within
-    the flow's cluster_tol of their neighbour form one level K, and each K
-    meets the whole ground cluster G in one block G + K, of norm
+    So ||H - H_ad|| is the top singular value of R.  The excited columns
+    form levels K as ``_level_ends`` groups them (runs spaced at most
+    CLUSTER_TOL), and each K meets the whole ground level G, whose gap
+    exceeds CLUSTER_TOL, in one block G + K, of norm
     ||R[K, :]||_F and diameter max K: ``block_sums`` adds their norms, and
     ``energy_locality`` weights them by e^(mu max K) and divides by |G|.
     These norms are invariant under rotations inside G and inside K, and
@@ -353,13 +343,11 @@ def condition_report(
     pts = flow.grid.points
     gdim = flow.ground_dim
     mu = certificate.mu
-    _check_derivative_gap(flow.gap, pts)
     R = _gdot_eigframe(H, pts, flow.eigenvalues, flow.basis, gdim)
     hdiff = operator_norms(R)
     # a level K's block norm goes to its highest column, where max K is:
     # ends marks those columns, and ids count the ends before each column
-    splits = np.diff(flow.eigenvalues[:, gdim:], axis=1) > flow.cluster_tol
-    ends = np.pad(splits, ((0, 0), (0, 1)), constant_values=True)
+    ends = _level_ends(flow.eigenvalues[:, gdim:])
     row_sq = np.sum(np.abs(R) ** 2, axis=2)
     blocks = np.zeros_like(row_sq)
     blocks[ends] = np.sqrt(np.bincount(np.cumsum(ends) - ends.ravel(), row_sq.ravel()))

@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from . import svgplot
 from .adiabatic import condition_report, run_adiabatic
 from .blocks import Block, bandwidth, pairwise_decompose
 from .errors import NumericalError, ValidationError
-from .experiment import ExperimentConfig, run_fig1
+from .experiment import ExperimentConfig, read_config, run_fig1
 from .locality import certify, optimize_mu_generic
 from .numerics import TimeGrid, csv_text, json_text
 from .propagation import bound_audit, evolve_on_grid, propagator_spread
@@ -29,6 +28,8 @@ EXIT_NUMERICAL = 2
 EXIT_VIOLATION = 3
 
 DEFAULT_MU_RANGE = (0.05, 5.0)
+# bound-check judges margins near 1e-9, so it integrates below the usual 1e-9
+_COMMAND_DEFAULTS = {"bound-check": {"integrator_tol": 1e-11}}
 
 
 # Every flag of the front end; _SUBCOMMANDS, below the handlers, names the
@@ -65,14 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The subcommand's config: its _COMMAND_DEFAULTS, then the --config
+    file's fields, then the flags given, each layer over the last."""
+    data = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     if args.config is not None:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig()
+        data.update(read_config(args.config))
     fields = ExperimentConfig.__dataclass_fields__
-    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    # replace() re-runs __post_init__, which validates the overridden values
-    return dataclasses.replace(config, **overrides)
+    data.update((k, v) for k, v in vars(args).items() if k in fields and v is not None)
+    return ExperimentConfig.from_dict(data)
 
 
 def _parse_block(text: str) -> Block:
@@ -136,8 +137,8 @@ def _cmd_bound_check(args) -> int:
     supp_b = _parse_block(args.supp_b)
     _, H, grid = _first_run(config)
     cert = _certificate_for(config, H, grid)
-    tol = args.integrator_tol if args.integrator_tol is not None else 1e-11
-    report = bound_audit(H, supp_a, supp_b, cert, evolve_on_grid(H, grid, tol))
+    prop = evolve_on_grid(H, grid, config.integrator_tol)
+    report = bound_audit(H, supp_a, supp_b, cert, prop)
     _emit(args, "bound_check", report.to_json_summary())
     if args.output_dir is not None:
         report.to_csv(Path(args.output_dir) / "bound_check.csv")

@@ -27,15 +27,11 @@ class IntegrationError(NumericalError):
 
 
 class LevelCrossingError(NumericalError):
-    """The tracked eigenvalue cluster changed dimension along the schedule."""
+    """The tracked ground level changed dimension along the schedule."""
 
 
 class GapClosureError(NumericalError):
-    """The spectral gap above the tracked cluster closed (or went negative)."""
-
-
-class IllConditionedError(NumericalError):
-    """A derivative or inversion is ill-conditioned (gap too small)."""
+    """No level lies above the tracked ground level: the gap closed."""
 
 
 class InsufficientCrossingsError(NumericalError):

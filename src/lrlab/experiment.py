@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svgplot
-from .adiabatic import SpectralFlow, adiabatic_error, spectral_flow
+from .adiabatic import SpectralFlow, _level_ends, adiabatic_error, spectral_flow
 from .errors import InsufficientCrossingsError, LrlabError, ValidationError
 from .models import (
     ConstantHamiltonian,
@@ -46,6 +46,20 @@ def parse_complex_matrix(rows) -> np.ndarray:
             f"pairs, got shape {arr.shape}"
         )
     return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+def read_config(path) -> dict:
+    """The JSON object in the config file at path, its fields unchecked."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError("config root must be a JSON object")
+    return data
 
 
 @dataclass(eq=False)
@@ -88,16 +102,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError("config root must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(read_config(path))
 
     def build_hamiltonian(self, T: float) -> TimeDependentHamiltonian:
         spec = self.hamiltonian
@@ -125,7 +130,6 @@ class EmpiricalSpeed:
     v_lr: float
     crossing_times: dict[int, float]
     pairwise_speeds: list[tuple[int, int, float]]
-    threshold: float
 
 
 def _first_crossings(
@@ -167,8 +171,9 @@ def empirical_v_lr(
     headline speed is the least-squares slope of level index against
     crossing time, and all pairwise speeds (k2 - k1) / (t2 - t1) are
     reported alongside.  The propagator's grid and ``grid`` must both be the
-    flow's.  A spectrum with adjacent levels within the flow's cluster_tol
-    anywhere on the grid is refused.
+    flow's.  Every eigenvalue must be a level of its own at every grid time:
+    a spectrum with two eigenvalues spaced at most CLUSTER_TOL anywhere,
+    which the flow counts as one level, is refused.
     """
     check_aligned(flow.grid, propagator.grid, grid)
     if threshold <= 0:
@@ -177,10 +182,9 @@ def empirical_v_lr(
         raise ValidationError(
             "crossing analysis needs a nondegenerate ground state"
         )
-    # levels within the flow's cluster_tol are one level, whose per-level
-    # amplitudes depend on the basis eigh picks inside it
-    spacings = np.diff(flow.eigenvalues, axis=1)
-    if np.min(spacings) <= flow.cluster_tol:
+    # a level of two or more columns has per-column amplitudes that depend
+    # on the basis eigh picks inside it
+    if not _level_ends(flow.eigenvalues).all():
         raise ValidationError(
             "spectrum is degenerate along the path; crossing times are "
             "not well-defined"
@@ -225,7 +229,6 @@ def empirical_v_lr(
         v_lr=slope,
         crossing_times={int(k): float(crossings[k]) for k in ks},
         pairwise_speeds=pairwise,
-        threshold=threshold,
     )
 
 

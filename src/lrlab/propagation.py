@@ -350,10 +350,11 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     """Integrate i dU/dt = H(t) U on the grid, refining until converged.
 
     A ConstantHamiltonian H = V diag(w) V^dag is served in closed form,
-    U(t) = V e^(-i t w) V^dag, from one eigh, with U(0) exactly I.  Its
-    Propagator has step 0.0 (no substeps) and tolerance tol, or its
-    unitarity defect where rounding cannot reach a tol that small; both are
-    computed on first read.
+    U(t) = V e^(-i t w) V^dag, from one eigh, with U(0) exactly I, filled
+    _BATCH_SUBSTEPS grid points at a time so that no temporary is as large
+    as the result.  Its Propagator has step 0.0 (no substeps) and tolerance
+    tol, or its unitarity defect where rounding cannot reach a tol that
+    small; both are computed on first read.
 
     Any other H is integrated: each grid interval takes m substeps, each
     the sixth-order Gauss-Legendre Magnus step, checked by the
@@ -382,7 +383,10 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     if isinstance(H, ConstantHamiltonian):
         w, V = np.linalg.eigh(H.matrix)
         phases = np.exp(-1j * np.outer(grid.points, w))
-        unitaries = (V * phases[:, None, :]) @ V.conj().T
+        unitaries = np.empty((len(grid), H.dimension, H.dimension), complex)
+        for s in range(0, len(grid), _BATCH_SUBSTEPS):
+            rows = slice(s, s + _BATCH_SUBSTEPS)
+            np.matmul(V * phases[rows, None, :], V.conj().T, out=unitaries[rows])
         # V V^dag is I only to rounding; lhs(0) = 0 = rhs(0) in the audit
         unitaries[0] = np.eye(H.dimension)
         return Propagator(grid=grid, unitaries=unitaries, step=0.0, tolerance=tol)

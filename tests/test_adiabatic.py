@@ -7,7 +7,7 @@ import pytest
 
 from lrlab import adiabatic
 from lrlab.adiabatic import (
-    MIN_DERIVATIVE_GAP,
+    CLUSTER_TOL,
     adiabatic_error,
     condition_report,
     evolve_adiabatic,
@@ -19,7 +19,6 @@ from lrlab.adiabatic import (
 )
 from lrlab.errors import (
     GapClosureError,
-    IllConditionedError,
     IntegrationError,
     LevelCrossingError,
     ValidationError,
@@ -113,18 +112,76 @@ def test_flow_level_crossing_detected():
 
 
 def test_h_ad_path_checks_cluster_and_derivative_gap():
-    """spectral_flow and the H_ad path share the cluster check; only the
-    H_ad path refuses gaps at or below the 1e-8 derivative floor."""
+    """spectral_flow and the H_ad path share one level check, so a gap of
+    5e-9 above the ground level is never served: there the two eigenvalues
+    are one level, and the ground level changes dimension, whether a grid
+    point or an h_ad time reaches it."""
     H = LinearInterpolationHamiltonian(
         np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), 1.0
     )
     t_near = 0.5 - 2.5e-9  # gap 5e-9
-    flow = spectral_flow(H, TimeGrid([0.0, t_near]), cluster_tol=1e-12)
-    assert flow.gap[-1] == pytest.approx(5e-9, rel=1e-6)
-    with pytest.raises(IllConditionedError):
+    assert np.diff(np.linalg.eigvalsh(H.evaluate(t_near)))[0] == pytest.approx(
+        5e-9, rel=1e-6
+    )
+    with pytest.raises(LevelCrossingError):
+        spectral_flow(H, TimeGrid([0.0, t_near]))
+    flow = spectral_flow(H, TimeGrid([0.0, 0.25]))
+    with pytest.raises(LevelCrossingError):
         h_ad(H, flow, [t_near])
     with pytest.raises(LevelCrossingError):
-        h_ad(H, flow, [0.5])  # degenerate: the cluster spans both levels
+        h_ad(H, flow, [0.5])  # degenerate: the level spans both columns
+
+
+def test_a_chained_ground_run_is_one_level():
+    """Ground eigenvalues 0, 0.6e-8, 1.2e-8 are one level of three: each
+    lies within CLUSTER_TOL of the one before, though the last lies beyond
+    it from the lowest.  The gap above them is the one to the excited
+    pair, so the H_ad path serves it."""
+    h_i = np.diag([0.0, 0.6e-8, 1.2e-8, 1.0, 1.5])
+    h_f = h_i.copy()
+    h_f[3, 4] = h_f[4, 3] = 0.2  # the excited pair turns; G stays put
+    H = LinearInterpolationHamiltonian(h_i, h_f, 5.0)
+    run = run_adiabatic(H, TimeGrid.uniform(5.0, 51), tol=1e-9)
+    assert run.flow.ground_dim == 3
+    assert run.flow.gap_min == pytest.approx(1.25 - np.sqrt(0.0625 + 0.04))
+    assert run.delta_ad_final <= 1e-20
+    assert run.intertwining_defect <= 1e-12
+
+
+def test_levels_5e_8_apart_stay_two_levels():
+    """Eigenvalues 5e-8 apart, five times CLUSTER_TOL, are two levels to
+    every reader of the level kernel: the flow's ground level, the crossing
+    speed's degeneracy refusal and the condition report's blocks."""
+    flow = spectral_flow(
+        ConstantHamiltonian(np.diag([0.0, 5e-8, 1.0])), TimeGrid.uniform(1.0, 11)
+    )
+    assert flow.ground_dim == 1
+    assert flow.gap_min == 5e-8
+    # an excited pair 5e-8 apart at t = 0 that the ramp only pulls apart
+    h_i = np.diag([0.0, 1.0, 1.0 + 5e-8])
+    h_f = h_i.copy()
+    h_f[0, 1] = h_f[1, 0] = 0.1
+    h_f[0, 2] = h_f[2, 0] = 0.2
+    T, mu = 20.0, 0.5
+    H = LinearInterpolationHamiltonian(h_i, h_f, T)
+    grid = TimeGrid.uniform(T, 201)
+    flow = spectral_flow(H, grid)
+    spacing = np.diff(flow.eigenvalues[:, 1:], axis=1)
+    assert 4e-8 < spacing.min() < 10 * CLUSTER_TOL
+    prop = evolve_on_grid(H, grid, 1e-9)
+    emp = empirical_v_lr(
+        H, T, 1e-3, grid, fixed_basis=True, flow=flow, propagator=prop
+    )
+    assert set(emp.crossing_times) == {1, 2}
+    # each excited column is its own block {0, k}, of diameter k
+    report = condition_report(H, flow, certify(H, mu, grid))
+    D = H.evaluate_batch(grid.points) - h_ad(H, flow, grid.points)
+    V = flow.basis
+    R = np.abs(V.conj().transpose(0, 2, 1) @ D @ V)[:, 1:, 0]
+    np.testing.assert_allclose(report.block_sums, R.sum(axis=1), rtol=1e-10)
+    np.testing.assert_allclose(
+        report.energy_locality, R @ np.exp(mu * np.arange(1, 3)), rtol=1e-10
+    )
 
 
 # -- projector derivative ------------------------------------------------------
@@ -491,21 +548,20 @@ def test_hdiff_bounded_by_hdot_over_gap(ramp_run):
 
 
 def test_condition_report_checks_the_derivative_gap():
-    """condition_report reads the flow's gaps and refuses any at or below
-    the derivative floor, as the H_ad path does."""
+    """condition_report reads a flow, and no flow has a gap of 5e-9 or of
+    exactly CLUSTER_TOL above its ground level: there the eigenvalues are
+    one level, so the ground level changes dimension or spans the whole
+    spectrum."""
     H = LinearInterpolationHamiltonian(
         np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), 1.0
     )
     grid = TimeGrid([0.0, 0.5 - 2.5e-9])  # gap 5e-9
-    flow = spectral_flow(H, grid, cluster_tol=1e-12)
-    with pytest.raises(IllConditionedError):
-        condition_report(H, flow, certify(H, 0.5, grid))
-    # a gap exactly at the floor is refused too
-    H = ConstantHamiltonian(np.diag([0.0, MIN_DERIVATIVE_GAP]))
-    flow = spectral_flow(H, grid, cluster_tol=1e-12)
-    assert flow.gap_min == MIN_DERIVATIVE_GAP
-    with pytest.raises(IllConditionedError):
-        condition_report(H, flow, certify(H, 0.5, grid))
+    with pytest.raises(LevelCrossingError):
+        spectral_flow(H, grid)
+    # a gap exactly at the tolerance is refused too
+    H = ConstantHamiltonian(np.diag([0.0, CLUSTER_TOL]))
+    with pytest.raises(GapClosureError):
+        spectral_flow(H, grid)
 
 
 # -- energy-basis locality ------------------------------------------------------------
@@ -596,7 +652,7 @@ def regauged(flow, seed, turns=()):
     times, d, _ = flow.basis.shape
     basis = flow.basis * np.exp(2j * np.pi * rng.random((times, 1, d)))
     for c, angle in turns:
-        at = flow.eigenvalues[:, c + 1] - flow.eigenvalues[:, c] <= flow.cluster_tol
+        at = flow.eigenvalues[:, c + 1] - flow.eigenvalues[:, c] <= CLUSTER_TOL
         assert at.any()
         cos, sin = np.cos(angle), np.sin(angle)
         turn = np.array([[cos, -sin], [sin, cos]])

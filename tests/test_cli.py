@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import lrlab
+from lrlab import cli
 from lrlab.cli import _build_parser, main
+from lrlab.propagation import evolve_on_grid
 
 
 @pytest.fixture()
@@ -98,6 +100,30 @@ def test_bound_check_ok(small_cfg_file, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"] == 0
     assert (out / "bound_check.csv").read_text().startswith("t,lhs,rhs,margin")
+
+
+def test_bound_check_reads_the_config_tolerance(tmp_path, monkeypatch, capsys):
+    """bound-check integrates at the config's integrator_tol, as every
+    subcommand does; its own default 1e-11 holds only where neither the
+    file nor --tol sets one, and --tol wins over the file."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"integrator_tol": 1e-300, "grid_points": 101}))
+    argv = ["bound-check", "--supp-a", "0", "--supp-b", "3", "--mu", "0.5"]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert "did not converge" in capsys.readouterr().err
+
+    tols = []
+
+    def evolve(H, grid, tol):
+        tols.append(tol)
+        return evolve_on_grid(H, grid, tol)
+
+    monkeypatch.setattr(cli, "evolve_on_grid", evolve)
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"grid_points": 101}))
+    for extra in (["--config", str(plain)], ["--config", str(cfg), "--tol", "1e-8"]):
+        assert main([*argv, *extra]) == 0
+    assert tols == [1e-11, 1e-8]
 
 
 def test_bound_check_never_imports_numpy_ma():

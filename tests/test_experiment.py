@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lrlab.adiabatic import spectral_flow
+from lrlab.adiabatic import CLUSTER_TOL, spectral_flow
 from lrlab.cli import main
 from lrlab.errors import InsufficientCrossingsError, ValidationError
 from lrlab.experiment import (
@@ -176,12 +176,12 @@ def test_fixed_basis_variant_differs():
 
 
 def test_empirical_speed_refuses_levels_within_cluster_tol():
-    """Levels 1e-10 apart are one level to the flow (cluster_tol 1e-8), and
+    """Levels 1e-10 apart are one level to the flow (CLUSTER_TOL 1e-8), and
     their per-level amplitudes depend on the basis eigh picks inside it."""
     H = ConstantHamiltonian(np.diag([0.0, 1.0, 1.0 + 1e-10]))
     grid = TimeGrid.uniform(1.0, 11)
     flow = spectral_flow(H, grid)
-    assert flow.cluster_tol > 1e-10
+    assert CLUSTER_TOL > 1e-10
     prop = evolve_on_grid(H, grid)
     with pytest.raises(ValidationError, match="degenerate"):
         empirical_v_lr(H, 1.0, 1e-3, grid, flow=flow, propagator=prop)

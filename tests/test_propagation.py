@@ -142,6 +142,30 @@ def test_constant_hamiltonian_closed_form_matches_oracles():
         evolve_on_grid(H, grid, 0.0)
 
 
+def test_closed_form_fills_its_result_in_slices():
+    """A constant H's propagator is filled a slice of grid points at a
+    time, with no temporary as large as the result.  A 12-level H on 20,001
+    points (a 43.9 MiB result) peaks at 1.10x the result; the whole-stack
+    product peaked at 2.08x.  Every slice, the last partial one too, holds
+    V e^(-i t w) V^dag."""
+    H = ConstantHamiltonian(random_hermitian(np.random.default_rng(8), 12))
+    grid = TimeGrid.uniform(10.0, 20001)
+    tracemalloc.start()
+    try:
+        prop = evolve_on_grid(H, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * prop.unitaries.nbytes
+    w, V = np.linalg.eigh(H.matrix)
+    rows = [1, 255, 256, 257, 19999, 20000]
+    direct = (V * np.exp(-1j * np.outer(grid.points[rows], w))[:, None, :]) @ (
+        V.conj().T
+    )
+    assert np.abs(prop.unitaries[rows] - direct).max() <= 1e-14
+    assert prop.unitarity_defect < 1e-12
+
+
 @pytest.mark.parametrize("norm", [1e-6, 1e-3, 6e-3, 0.5, 3.0, 50.0])
 def test_unitary_steps_match_eigh_and_taylor_oracles(norm):
     """The Taylor kernel agrees with V e^(-i h w) V^dag and with the
