@@ -38,22 +38,41 @@ TIMEOUT = 600.0  # seconds per row
 ROWS = [
     (
         PROP,
-        "_refinement_defect(ends[1], ends[0], tol)",
-        "_refinement_defect(ends[1], ends[1], tol)",
+        "_refinement_defect(ends[:, 1], ends[:, 0], tol)",
+        "_refinement_defect(ends[:, 1], ends[:, 1], tol)",
         "the streamed level defect compares U6 with itself",
     ),
     (
         PROP,
         "            defect = max(defect, _refinement_defect(",
-        "            if s0 + _BATCH_SUBSTEPS < total:\n"
+        "            if s0 + batch < total:\n"
         "                defect = max(defect, _refinement_defect(",
         "the last batch's checkpoints are stored but never checked",
     ),
     (
         PROP,
-        "                U = _reunitarize(U)\n",
+        "                U[...] = _reunitarize(U)\n",
         "                pass\n",
         "the polar re-orthonormalization of the running product is dropped",
+    ),
+    (
+        PROP,
+        "return 1 << max(n.bit_length() - 1, 0)",
+        "return max(n, 1)",
+        "the batch is no longer a power of two, so factors straddle intervals",
+    ),
+    (
+        PROP,
+        "        C += C.conj().swapaxes(-1, -2)",
+        "        C -= C.conj().swapaxes(-1, -2)",
+        "a commutator of a Hermitian and an anti-Hermitian matrix takes the "
+        "wrong sign",
+    ),
+    (
+        PROP,
+        " + Q * (1j / 7200.0 * h**3)",
+        "",
+        "M6 drops its h^3 [P, Q] term",
     ),
     (
         PROP,

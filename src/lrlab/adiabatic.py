@@ -134,8 +134,10 @@ def h_ad(
     """Adiabatic generator H(t) + i [Gdot(t), G(t)] at each of the times ts,
     shape (len(ts), dim, dim).  The times need not lie on the flow's grid:
     H is diagonalized at each time off it, and the flow's eigen-data, of
-    that same H, serve the times on it.  The ground level must keep the
-    flow's dimension at every time, so every gap E_k - E_g exceeds CLUSTER_TOL.
+    that same H, are gathered for the times on it alone (an integrator
+    batch asks for three off-grid times to each one on it).  The ground
+    level must keep the flow's dimension at every time, so every gap
+    E_k - E_g exceeds CLUSTER_TOL.
 
     In the eigenframe i [Gdot, G] has only the excited-ground block i R and
     its adjoint, so it is i (X - X^dag) with X = V_E R V_G^dag.  That is
@@ -148,10 +150,12 @@ def h_ad(
     mats = H.evaluate_batch(ts)
     pts = flow.grid.points
     k = np.minimum(np.searchsorted(pts, ts), len(pts) - 1)
-    off = pts[k] != ts
-    vals, vecs = flow.eigenvalues[k], flow.basis[k]
-    if off.any():
-        vals[off], vecs[off] = np.linalg.eigh(mats[off])
+    on = pts[k] == ts
+    vals = np.empty((len(ts), H.dimension))
+    vecs = np.empty((len(ts), H.dimension, H.dimension), flow.basis.dtype)
+    vals[on], vecs[on] = flow.eigenvalues[k[on]], flow.basis[k[on]]
+    if not on.all():
+        vals[~on], vecs[~on] = np.linalg.eigh(mats[~on])
     _ground_gap(vals, ts, gdim)
     R = _gdot_eigframe(H, ts, vals, vecs, gdim)
     D = vecs[..., gdim:] @ R @ vecs[..., :gdim].conj().swapaxes(-1, -2)

@@ -100,10 +100,6 @@ class ExperimentConfig:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(read_config(path))
-
     def build_hamiltonian(self, T: float) -> TimeDependentHamiltonian:
         spec = self.hamiltonian
         if spec == "paper_example":

@@ -135,6 +135,30 @@ def _a_mu(stack, mu: float, permutation: np.ndarray) -> np.ndarray:
     return loads.max(axis=1, initial=0.0)
 
 
+def _scan_v_lr(stack, mus: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """v_lr at each rate of mus from a (diag, off) stack of |H| in the
+    identity ordering, as ``_a_mu`` and ``time_average`` give it one rate at
+    a time.  Each level's (times, len(mus)) load is one product with the
+    weights e^(mu |i - j|) at every rate, kept in one buffer, and a running
+    maximum over levels gives a_mu; the trapezoid rule is then one product
+    with the grid's quadrature weights, summed for a stack of one matrix."""
+    diag, off = stack
+    d = off.shape[-1]
+    dist = np.abs(np.arange(d)[:, None] - np.arange(d))
+    a_mu = np.zeros((off.shape[0], mus.size))
+    loads = np.empty_like(a_mu)
+    for i in range(d):
+        np.matmul(off[:, i, :], np.exp(dist[i][:, None] * mus), out=loads)
+        loads *= 2.0
+        loads += diag[:, i, None]
+        np.maximum(a_mu, loads, out=a_mu)
+    half = 0.5 * np.diff(grid.points)
+    weights = np.append(half, 0.0) + np.append(0.0, half)
+    if a_mu.shape[0] == 1:
+        weights = weights.sum(keepdims=True)
+    return weights @ a_mu / grid.t_final / mus
+
+
 def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
     """Tightest locality constant of a decomposition at rate mu.
 
@@ -222,10 +246,11 @@ def optimize_mu_generic(
     e^(mu dist_ij), is a non-negative-weighted sum of maxima of convex
     functions, so it is convex and non-negative, and the sublevel sets
     {f(mu) <= c mu} of f / mu are intervals (f / mu is quasiconvex).  A
-    coarse scan of _SCAN_POINTS values brackets that minimum between the
-    neighbours of the scan's best point, and the golden-section search
-    narrows the bracket.  H is evaluated on the grid once: the search and
-    the returned certificate read the same |H| stack.
+    coarse scan of _SCAN_POINTS values, taken at once by ``_scan_v_lr``,
+    brackets that minimum between the neighbours of the scan's best point,
+    and the golden-section search narrows the bracket, one rate at a time.
+    H is evaluated on the grid once: the scan, the search and the returned
+    certificate read the same |H| stack.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not (0.0 < lo < hi):
@@ -242,7 +267,9 @@ def optimize_mu_generic(
             return time_average(samples, grid) / mu
 
     scan_mus = np.linspace(lo, hi, _SCAN_POINTS)
-    scan_vals = np.array([v_of_mu(m) for m in scan_mus])
+    # overflow to inf (and inf * 0) is deliberate; the check below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan_vals = _scan_v_lr(stack, scan_mus, grid)
     if not np.all(np.isfinite(scan_vals)):
         raise NumericalError(
             "v_lr(mu) is nonfinite on the requested range; "

@@ -19,12 +19,21 @@ A(c) = -i h H(t + c h):
       Omega4 = (B_0 + 4 B_m + B_1)/6 - [B_0, B_1]/12.
 
 The step kernel takes each generator in its Hermitian form M = i Omega / h,
-as exp(-i h M).  With H(c) = H(t + c h) and c_lo, c_hi the outer Gauss
-nodes:
+as exp(-i h M).  With H(c) = H(t + c h), c_lo and c_hi the outer Gauss
+nodes, Hm = H(1/2) and a_k = -i h b_k, that is
+b2 = (sqrt(15)/3)(H(c_hi) - H(c_lo)) and b3 = (10/3)(H(c_hi) - 2 Hm + H(c_lo)):
 
-      M4 = (H(0) + 4 H(1/2) + H(1))/6 + i (h/12) [H(0), H(1)],
-      M6 = H(1/2) + (10/36)(H(c_hi) - 2 H(1/2) + H(c_lo))
-           + i [-20 a1 - a3 + C1, a2 + C2] / (240 h).
+      M4 = (H(0) + 4 Hm + H(1))/6 + i (h/12) [H(0), H(1)],
+      P = [Hm, b2],  Q = [Hm, b3],  A = 20 Hm + b3,  B = b2 + (h^2/60) [Hm, P],
+      M6 = Hm + b3/12 + (i h/240) [A, B] - (h^2/7200) [A, Q]
+           - (h^2/240) [P, B] - (i h^3/7200) [P, Q].
+
+H, b2, b3, A and B are Hermitian and P and Q anti-Hermitian, so each
+commutator takes one product: [X, Y] = XY - (XY)^dag for two of a kind and
+XY + (XY)^dag for one of each.  M6's four are Y + Y^dag with
+Y = A ((i h/240) B - (h^2/7200) Q) - P ((h^2/240) B + (i h^3/7200) Q), two
+products.  For a real H every product is real: a real matrix takes a
+complex one's real and imaginary parts in one real product.
 
 The midpoint is also the middle Gauss node, and neighbouring substeps share
 their ends, so a substep evaluates H at four new times.  The chains of
@@ -38,16 +47,16 @@ the same Gauss nodes, a1 + a3/12 - C1/12, equals Omega6 whenever H(t)
 commutes with itself, so for H = cos(w t) A that pair reads 0 whatever
 the error.
 
-- Unitary to rounding: A(c) is anti-Hermitian, and so are real
-  combinations and commutators of anti-Hermitian matrices, so M is
-  Hermitian and exp(-i h M) is unitary.  It is taken from a
+- Unitary to rounding: M4 and M6 are sums of Hermitian matrices, each a
+  real combination of H's or an X + X^dag, so they are Hermitian bit for
+  bit and exp(-i h M) is unitary.  It is taken from a
   scaling-and-squaring Taylor series in matrix products alone, cut where a
   rigorous bound on the dropped tail falls below 2^-53 (see
   _unitary_steps).  No step is unitary by construction: the truncation
   bound and a polar re-orthonormalization every 256 grid intervals keep it
   so, and every Propagator measures its unitarity_defect on first read.
-- Constant H: A_1 = A_2 = A_3, so a2 = a3 = 0 exactly, M6 is H bit for
-  bit and the returned step is the kernel's exp(-i h H).
+- Constant H: the three Gauss nodes agree, so b2 = b3 = 0 exactly, M6 is
+  H bit for bit and the returned step is the kernel's exp(-i h H).
 
 A level m is accepted once max ||U4 - U6|| and a rounding floor
 sqrt(n_int m) d 2^-53 are both below the tolerance.  The floor stands for
@@ -56,8 +65,12 @@ n_int m rounded products of d x d unitaries behind the last checkpoint.
 Otherwise m doubles, and the doubling stops with an IntegrationError once
 it no longer lowers the level's defect.  A failed level's checkpoints are
 freed before the next level's are made, and the accepted ones become the
-Propagator's unitaries uncopied, so evolve_on_grid peaks near one
-(len(grid), d, d) array, not four.
+Propagator's unitaries uncopied.  A batch takes n substeps, the largest
+power of two n <= 256 with n d^2 <= 8192, so that one complex (n, d, d)
+stack of it stays within 128 KiB: 64 at d = 11, 8 at d = 32.  So
+evolve_on_grid peaks near its one (len(grid), d, d) result, not several:
+1.44x for the bundled ramp on 2001 points and 1.11x at d = 32 on 1025
+(3.45x and 5.75x with batches of 256 substeps).
 
 A ConstantHamiltonian skips the integrator: U(t) = V e^(-i t w) V^dag
 from one eigh of H = V diag(w) V^dag serves every checkpoint, with U(0)
@@ -91,9 +104,8 @@ from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
 from .numerics import TimeGrid, check_aligned, csv_text, operator_norms
 
-# substeps processed per vectorized batch (memory/speed tradeoff); a power
-# of two, so that a batch holds whole intervals or whole pieces of one
-_BATCH_SUBSTEPS = 256
+# matrix entries in one (n, d, d) stack of a batch: 128 KiB when complex
+_BATCH_ENTRIES = 8192
 # running product re-orthonormalized every this many grid intervals
 _POLAR_EVERY = 256
 # the halving loop also stops once the smallest level defect seen, if below
@@ -186,6 +198,15 @@ def _taylor_plan(x: float) -> tuple[int, int]:
     return s, p
 
 
+def _batch_size(d: int) -> int:
+    """Substeps (or closed-form checkpoints) per batch at dimension d: the
+    largest power of two n <= 256 with n d^2 <= _BATCH_ENTRIES, so that one
+    complex (n, d, d) stack of the batch stays within 128 KiB.  A power of
+    two, so that a batch holds whole intervals or whole pieces of one."""
+    n = min(256, _BATCH_ENTRIES // (d * d))
+    return 1 << max(n.bit_length() - 1, 0)
+
+
 def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Batched exp(-i h M) for stacked Hermitian matrices M, by a
     scaling-and-squaring Taylor series (Moler & Van Loan 2003; Al-Mohy &
@@ -195,7 +216,8 @@ def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
     ||A||_1 over the batch, bounds every operator norm.  The series of
     exp(A / 2^s) is cut at the degree p that _taylor_plan(x) chooses, so
     that its dropped tail is below 2^-53; it is evaluated by Horner and
-    squared s times.  A non-finite A is rejected before s and p are chosen.
+    squared s times, in place between two buffers.  A non-finite A is
+    rejected before s and p are chosen.
     """
     with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused below
         A = mats * (-1j * hs)[:, None, None]
@@ -208,12 +230,15 @@ def _unitary_steps(mats: np.ndarray, hs: np.ndarray) -> np.ndarray:
     # Horner: E = I + A/k E for k = p, ..., 1, starting from E = I
     E = A / p if p else np.zeros_like(A)
     E[:, diag, diag] += 1.0
+    F = np.empty_like(E)
     for k in range(p - 1, 0, -1):
-        E = A @ E
-        E *= 1.0 / k
-        E[:, diag, diag] += 1.0
+        np.matmul(A, E, out=F)
+        F *= 1.0 / k
+        F[:, diag, diag] += 1.0
+        E, F = F, E
     for _ in range(s):
-        E = E @ E
+        np.matmul(E, E, out=F)
+        E, F = F, E
     return E
 
 
@@ -232,38 +257,60 @@ def _reunitarize(U: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def _commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _commutator(X: np.ndarray, Y: np.ndarray, mixed: bool = False) -> np.ndarray:
+    """[X, Y] from the one product XY, for X and Y each Hermitian or
+    anti-Hermitian: YX = -(XY)^dag when one is each (mixed), else
+    YX = (XY)^dag."""
     C = X @ Y
-    C -= Y @ X
+    if mixed:
+        C += C.conj().swapaxes(-1, -2)
+    else:
+        C -= C.conj().swapaxes(-1, -2)
     return C
+
+
+def _times(X: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """X @ F for a complex F; a real X multiplies F's real and imaginary
+    parts in one real product, over F's interleaved float view."""
+    if np.iscomplexobj(X):
+        return X @ F
+    return (X @ F.view(float)).view(complex)
 
 
 def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Hermitian generators M4 and M6 of the substeps [bounds[k], bounds[k+1]]
-    of widths hs, with exp(-i h M) = exp(Omega), stacked as
-    (2, len(hs), d, d) (see the module docstring)."""
+    of widths hs, with exp(-i h M) = exp(Omega), written into one
+    (2, len(hs), d, d) stack (see the module docstring)."""
     n, d = len(hs), H.dimension
     starts = bounds[:-1]
     nodes = np.concatenate(
         [bounds, starts + 0.5 * hs, starts + _GAUSS_LO * hs, starts + _GAUSS_HI * hs]
     )
-    # a real H stays real: the sums of H and [H(0), H(1)] then take real
-    # arithmetic, and the generators turn complex where i enters
+    # a real H stays real: every product below is then real, and the
+    # generators turn complex only where i enters
     mats = np.asarray(H.evaluate_batch(nodes))
     Hs, He = mats[:n], mats[1 : n + 1]  # at the substeps' starts and ends
     Hm, Hlo, Hhi = mats[n + 1 :].reshape(3, n, d, d)
     h = hs[:, None, None]
+    gens = np.empty((2, n, d, d), dtype=complex)
+    M4, M6 = gens
     with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused by the kernel
-        M4 = (Hs + 4.0 * Hm + He) / 6.0 + _commutator(Hs, He) * (1j / 12.0 * h)
-        # a_k = -i h b_k; for Hlo == Hm == Hhi, b2 and b3 are exactly 0
+        M4[...] = _commutator(Hs, He) * (1j / 12.0 * h)
+        M4 += (Hs + 4.0 * Hm + He) / 6.0
+        # for Hlo == Hm == Hhi, b2 and b3, and so every commutator, are 0
         b2 = _GAUSS_SLOPE * (Hhi - Hlo)
         b3 = (10.0 / 3.0) * (Hhi - 2.0 * Hm + Hlo)
-        a1, a2, a3 = -1j * h * Hm, -1j * h * b2, -1j * h * b3
-        C1 = _commutator(a1, a2)
-        C2 = _commutator(a1, 2.0 * a3 + C1) / -60.0
-        K = _commutator(-20.0 * a1 - a3 + C1, a2 + C2)
-        M6 = Hm + b3 / 12.0 + K * (1j / 240.0 / h)
-    return np.stack([M4, M6])
+        P, Q = _commutator(Hm, b2), _commutator(Hm, b3)
+        B = _commutator(Hm, P, mixed=True)
+        B *= h**2 / 60.0
+        B += b2
+        A = 20.0 * Hm + b3
+        # the four commutators are Y + Y^dag, two products
+        Y = _times(A, B * (1j / 240.0 * h) - Q * (h**2 / 7200.0))
+        Y -= _times(P, B * (h**2 / 240.0) + Q * (1j / 7200.0 * h**3))
+        np.add(Y, Y.conj().swapaxes(-1, -2), out=M6)
+        M6 += Hm + b3 / 12.0
+    return gens
 
 
 def _checkpoints_fixed(
@@ -277,44 +324,48 @@ def _checkpoints_fixed(
     Substep k of interval g is the flat substep s = g m + k, which starts at
     pts[g] + (k/m) widths[g]; it ends where substep s + 1 starts, so the two
     share that evaluation of H.  The substeps are taken in batches of
-    _BATCH_SUBSTEPS, and each batch is composed into factors of
-    min(m, _BATCH_SUBSTEPS) substeps: whole intervals, or, for
-    m > _BATCH_SUBSTEPS, pieces of one.  Both are powers of two, so no factor
-    straddles an interval end.  The running product (U4, U6) is
-    re-orthonormalized every _POLAR_EVERY interval ends.  The checkpoints a
-    batch reaches go into a per-batch buffer of both chains: U6's are copied
-    into the returned array and U4's are only compared with them, so the
-    level holds one full set of checkpoints, not two.
+    n = _batch_size(d), and each batch is composed into factors of
+    min(m, n) substeps: whole intervals, or, for m > n, pieces of one.  Both
+    are powers of two, so no factor straddles an interval end.  The running
+    product (U4, U6) is re-orthonormalized every _POLAR_EVERY interval ends.
+    A running product that ends an interval is written straight into a
+    per-batch buffer of both chains' checkpoints: U6's are copied into the
+    returned array and U4's are only compared with them, so the level holds
+    one full set of checkpoints, not two.
     """
     pts = grid.points
     d = H.dimension
     widths = np.diff(pts)
     padded = np.append(widths, 0.0)  # so that the last boundary is pts[-1]
     total = widths.size * m
-    per_factor = min(m, _BATCH_SUBSTEPS)
+    batch = _batch_size(d)
+    per_factor = min(m, batch)
     out = np.empty((len(pts), d, d), dtype=complex)
     out[0] = np.eye(d)
     U = np.stack([out[0], out[0]])
     defect = 0.0
-    for s0 in range(0, total, _BATCH_SUBSTEPS):
-        g, k = np.divmod(np.arange(s0, min(total, s0 + _BATCH_SUBSTEPS) + 1), m)
+    for s0 in range(0, total, batch):
+        g, k = np.divmod(np.arange(s0, min(total, s0 + batch) + 1), m)
         bounds = pts[g] + (k / m) * padded[g]
         hs = widths[g[:-1]] / m
-        gens = _magnus_generators(H, bounds, hs)
-        steps = _unitary_steps(gens.reshape(-1, d, d), np.concatenate([hs, hs]))
+        gens = _magnus_generators(H, bounds, hs).reshape(-1, d, d)
+        steps = _unitary_steps(gens, np.concatenate([hs, hs]))
         factors = _compose(steps.reshape(2, -1, per_factor, d, d)).swapaxes(0, 1)
-        # checkpoints g[0] + 1, ..., g[-1] end in this batch
-        ends = np.empty((2, g[-1] - g[0], d, d), dtype=complex)
+        # checkpoints g[0] + 1, ..., g[-1] end in this batch, (U4, U6) each
+        ends = np.empty((g[-1] - g[0], 2, d, d), dtype=complex)
         for f, factor in enumerate(factors, start=s0 // per_factor + 1):
-            U = factor @ U
             end = f * per_factor  # flat index just past the factor
+            if end % m:
+                U = factor @ U
+                continue
+            U = np.matmul(factor, U, out=ends[end // m - g[0] - 1])
             if end % (m * _POLAR_EVERY) == 0:
-                U = _reunitarize(U)
-            if end % m == 0:
-                ends[:, end // m - g[0] - 1] = U
+                U[...] = _reunitarize(U)
+        # freed before the next batch's generators are made
+        del gens, steps, factors, factor
         if g[-1] > g[0]:
-            out[g[0] + 1 : g[-1] + 1] = ends[1]
-            defect = max(defect, _refinement_defect(ends[1], ends[0], tol))
+            out[g[0] + 1 : g[-1] + 1] = ends[:, 1]
+            defect = max(defect, _refinement_defect(ends[:, 1], ends[:, 0], tol))
     return out, defect, U[0]
 
 
@@ -351,7 +402,7 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
 
     A ConstantHamiltonian H = V diag(w) V^dag is served in closed form,
     U(t) = V e^(-i t w) V^dag, from one eigh, with U(0) exactly I, filled
-    _BATCH_SUBSTEPS grid points at a time so that no temporary is as large
+    _batch_size(d) grid points at a time so that no temporary is as large
     as the result.  Its Propagator has step 0.0 (no substeps) and tolerance
     tol, or its unitarity defect where rounding cannot reach a tol that
     small; both are computed on first read.
@@ -364,8 +415,10 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     chains share; the first level whose defect is below tol is accepted,
     and its U6 checkpoints, the one (len(grid), d, d) array a level holds,
     become the Propagator's unitaries uncopied.  U4's checkpoints are
-    compared with U6's batch by batch and never stored whole, and a failed
-    level's array is freed before the next is made.  step is then the
+    compared with U6's batch by batch and never stored whole, a failed
+    level's array is freed before the next is made, and a batch of
+    _batch_size(d) substeps keeps each of its (n, d, d) stacks within
+    128 KiB, so the call peaks near its result.  step is then the
     widest grid interval over m.  The Simpson companion is what lets the
     check see quadrature error: a companion at the Gauss nodes agrees with
     U6 for any H(t) that commutes with itself, however coarse the step.
@@ -384,8 +437,9 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
         w, V = np.linalg.eigh(H.matrix)
         phases = np.exp(-1j * np.outer(grid.points, w))
         unitaries = np.empty((len(grid), H.dimension, H.dimension), complex)
-        for s in range(0, len(grid), _BATCH_SUBSTEPS):
-            rows = slice(s, s + _BATCH_SUBSTEPS)
+        batch = _batch_size(H.dimension)
+        for s in range(0, len(grid), batch):
+            rows = slice(s, s + batch)
             np.matmul(V * phases[rows, None, :], V.conj().T, out=unitaries[rows])
         # V V^dag is I only to rounding; lhs(0) = 0 = rhs(0) in the audit
         unitaries[0] = np.eye(H.dimension)

@@ -93,6 +93,35 @@ def gauss2_magnus_propagator(H, points, m):
     return np.stack(out)
 
 
+def magnus_generators_ak(H, bounds, hs):
+    """Hermitian generators M = i Omega / h of the substeps
+    [bounds[k], bounds[k] + hs[k]], stacked (2, len(hs), d, d) as (M4, M6),
+    one substep at a time from A(c) = -i h H(t + c h).  Omega6 is the a_k
+    form of Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151, at the
+    Gauss nodes c = 1/2 -+ sqrt(15)/10 and 1/2, and Omega4 the Simpson-node
+    step; every commutator takes two products."""
+
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    r = np.sqrt(15.0) / 10.0
+    out = []
+    for t, h in zip(bounds[:-1], hs):
+
+        def A(c):
+            return -1j * h * np.asarray(H.evaluate(t + c * h), dtype=complex)
+
+        a1 = A(0.5)
+        a2 = (np.sqrt(15.0) / 3.0) * (A(0.5 + r) - A(0.5 - r))
+        a3 = (10.0 / 3.0) * (A(0.5 + r) - 2.0 * a1 + A(0.5 - r))
+        C1 = comm(a1, a2)
+        C2 = -comm(a1, 2.0 * a3 + C1) / 60.0
+        omega6 = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+        omega4 = (A(0.0) + 4.0 * a1 + A(1.0)) / 6.0 - comm(A(0.0), A(1.0)) / 12.0
+        out.append([1j * omega4 / h, 1j * omega6 / h])
+    return np.array(out).swapaxes(0, 1)
+
+
 @functools.cache
 def ramp_rk4_oracle():
     """U(100, 0) of the bundled ramp at T=100 by RK4 at RK4_ORACLE_STEPS.

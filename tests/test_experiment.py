@@ -13,6 +13,7 @@ from lrlab.experiment import (
     _worker_count,
     empirical_v_lr,
     parse_complex_matrix,
+    read_config,
     run_fig1,
 )
 from lrlab.models import ConstantHamiltonian, build_example_ramp
@@ -51,6 +52,8 @@ def test_config_validation():
 
 
 def test_config_from_file(tmp_path):
+    """A config file is read by read_config and checked by from_dict, as
+    the CLI layers it; each refusal names what is wrong."""
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps(
@@ -62,18 +65,21 @@ def test_config_from_file(tmp_path):
             }
         )
     )
-    cfg = ExperimentConfig.from_file(path)
+    cfg = ExperimentConfig.from_dict(read_config(path))
     assert cfg.T_values == (5.0, 10.0)
     assert cfg.threshold == 1e-3
-    with pytest.raises(ValidationError):
-        ExperimentConfig.from_file(tmp_path / "missing.json")
+    with pytest.raises(ValidationError, match="cannot read config"):
+        read_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("not json {")
-    with pytest.raises(ValidationError):
-        ExperimentConfig.from_file(bad)
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        read_config(bad)
     bad.write_text("[1, 2]")
     with pytest.raises(ValidationError, match="JSON object"):
-        ExperimentConfig.from_file(bad)
+        read_config(bad)
+    bad.write_text(json.dumps({"grid_points": 101, "bogus_field": 1}))
+    with pytest.raises(ValidationError, match="bogus_field"):
+        ExperimentConfig.from_dict(read_config(bad))
 
 
 def test_parse_complex_matrix():

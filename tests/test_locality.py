@@ -13,6 +13,8 @@ from lrlab.locality import (
     LocalityCertificate,
     _a_mu,
     _abs_offdiag_and_diag,
+    _abs_stack,
+    _scan_v_lr,
     a_mu_pointwise,
     certify,
     exp_local_bound,
@@ -431,6 +433,19 @@ def test_optimizer_evaluates_h_on_the_grid_once(monkeypatch):
     monkeypatch.undo()
     expected = certify(H, mu, grid)
     assert cert.to_json_dict() == expected.to_json_dict()
+
+
+def test_scan_matches_one_rate_at_a_time():
+    """The one-pass bracketing scan gives certify's v_lr at every scan rate
+    to 1e-13 relative (the sums run in another order), for the ramp's grid
+    stack and for a constant H's one-matrix stack."""
+    mus = np.linspace(0.05, 5.0, 100)
+    grid = TimeGrid.uniform(12.5, 301)
+    M = random_exp_local(ExpLocalSpec(9, 1.0, 1.0, seed=4))
+    for H in (build_example_ramp(12.5), ConstantHamiltonian(M)):
+        got = _scan_v_lr(_abs_stack(H, grid), mus, grid)
+        want = [certify(H, mu, grid).v_lr for mu in mus]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_optimizer_unimodal_on_example_ramp():

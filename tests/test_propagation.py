@@ -44,6 +44,7 @@ from _oracles import (
     gauss2_magnus_propagator,
     gram_block_norm,
     heisenberg,
+    magnus_generators_ak,
     operator_norm,
     ramp_rk4_oracle,
     random_hermitian,
@@ -118,6 +119,49 @@ def test_constant_hamiltonian_steps_are_exact_exponentials():
     assert np.array_equal(M6, np.broadcast_to(M, M6.shape))
 
 
+class _Quadratic(TimeDependentHamiltonian):
+    """H(t) = H0 + t H1 + t^2 H2; real for real coefficients."""
+
+    def __init__(self, H0, H1, H2):
+        self.coeffs = (H0, H1, H2)
+        self.dimension = H0.shape[0]
+
+    def evaluate_batch(self, ts):
+        t = np.asarray(ts, dtype=float)[:, None, None]
+        H0, H1, H2 = self.coeffs
+        return H0 + t * (H1 + t * H2)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_generators_match_the_two_product_form(real):
+    """The one-product Hermitian M4 and M6 agree with the a_k form, taken
+    one substep at a time with two products per commutator, to 1e-14
+    relative, on a real and on a complex H quadratic in t.  Its
+    coefficients do not commute and substeps of about 1 make every term
+    count: H2 makes b3, and so Q = [Hm, b3], nonzero, which a linear ramp
+    cannot, and the h^3 [P, Q] term alone is 3e-5 to 1.4e-3 of M6 (the
+    measured error is below 1.2e-15).  M4 and M6 are Hermitian bit for
+    bit."""
+    rng = np.random.default_rng(11)
+    coeffs = [random_hermitian(rng, 6) for _ in range(3)]
+    if real:
+        coeffs = [c.real for c in coeffs]
+    H = _Quadratic(*coeffs)
+    bounds = np.array([0.0, 0.7, 1.5, 2.0, 3.2])
+    got = _magnus_generators(H, bounds, np.diff(bounds))
+    want = magnus_generators_ak(H, bounds, np.diff(bounds))
+    scale = operator_norms(want.reshape(-1, 6, 6))
+    err = operator_norms((got - want).reshape(-1, 6, 6))
+    assert np.all(err <= 1e-14 * scale)
+    assert np.array_equal(got, got.conj().swapaxes(-1, -2))
+
+
+def test_batch_size_keeps_one_stack_within_128_kib():
+    """A batch is the largest power of two n <= 256 with n d^2 <= 8192."""
+    sizes = [propagation._batch_size(d) for d in (1, 5, 6, 11, 12, 32, 90, 91)]
+    assert sizes == [256, 256, 128, 64, 32, 8, 1, 1]
+
+
 def test_constant_hamiltonian_closed_form_matches_oracles():
     """evolve_on_grid serves a constant H as V e^(-i t w) V^dag; it agrees
     with the extended-precision Taylor exponential and with the integrator
@@ -142,27 +186,36 @@ def test_constant_hamiltonian_closed_form_matches_oracles():
         evolve_on_grid(H, grid, 0.0)
 
 
-def test_closed_form_fills_its_result_in_slices():
-    """A constant H's propagator is filled a slice of grid points at a
-    time, with no temporary as large as the result.  A 12-level H on 20,001
-    points (a 43.9 MiB result) peaks at 1.10x the result; the whole-stack
-    product peaked at 2.08x.  Every slice, the last partial one too, holds
-    V e^(-i t w) V^dag."""
-    H = ConstantHamiltonian(random_hermitian(np.random.default_rng(8), 12))
-    grid = TimeGrid.uniform(10.0, 20001)
+def _traced_peak(run):
+    """The propagator run() returns and the peak of memory traced meanwhile."""
     tracemalloc.start()
     try:
-        prop = evolve_on_grid(H, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        prop = run()
+        return prop, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_closed_form_fills_its_result_in_slices(monkeypatch):
+    """A constant H's propagator is filled a slice of _batch_size(d) = 32
+    grid points at a time, with no temporary as large as the result.  A
+    12-level H on 20,001 points (a 43.9 MiB result) peaks at 1.10x the
+    result; the whole-stack product peaked at 2.08x.  Every slice, the last
+    partial one too, holds V e^(-i t w) V^dag, bit for bit whatever the
+    slice size."""
+    H = ConstantHamiltonian(random_hermitian(np.random.default_rng(8), 12))
+    grid = TimeGrid.uniform(10.0, 20001)
+    prop, peak = _traced_peak(lambda: evolve_on_grid(H, grid))
     assert peak <= 1.3 * prop.unitaries.nbytes
     w, V = np.linalg.eigh(H.matrix)
-    rows = [1, 255, 256, 257, 19999, 20000]
+    rows = [1, 31, 32, 33, 19999, 20000]
     direct = (V * np.exp(-1j * np.outer(grid.points[rows], w))[:, None, :]) @ (
         V.conj().T
     )
     assert np.abs(prop.unitaries[rows] - direct).max() <= 1e-14
+    monkeypatch.setattr(propagation, "_BATCH_ENTRIES", 256 * 12**2)
+    whole = evolve_on_grid(H, TimeGrid(grid.points[:1001]))
+    assert np.array_equal(whole.unitaries, prop.unitaries[:1001])
     assert prop.unitarity_defect < 1e-12
 
 
@@ -445,8 +498,9 @@ def test_fig1_ladder_accepts_one_substep(T):
 
 
 def test_intervals_split_across_batches_match_whole_ones(monkeypatch):
-    """With _BATCH_SUBSTEPS below m, each interval's product is composed
-    from several batches, and only every fourth batch reaches a checkpoint.
+    """With a _BATCH_ENTRIES budget that holds 2 substeps of the 11-level
+    ramp, below m, each interval's product is composed from several
+    batches, and only every fourth batch reaches a checkpoint.
     U6's checkpoints, U4's final product and the level defect, read exactly
     (tol 1e-12) or from Frobenius norms (tol 1e-6), agree with
     whole-interval batches to rounding (each batch picks its own Taylor
@@ -456,9 +510,10 @@ def test_intervals_split_across_batches_match_whole_ones(monkeypatch):
     grid = TimeGrid.uniform(2.0, 6)
     monkeypatch.setattr(propagation, "_POLAR_EVERY", 2)
     for tol in (1e-12, 1e-6):
-        monkeypatch.setattr(propagation, "_BATCH_SUBSTEPS", 256)
+        monkeypatch.setattr(propagation, "_BATCH_ENTRIES", 256 * 11**2)
         whole = _checkpoints_fixed(H, grid, 8, tol)
-        monkeypatch.setattr(propagation, "_BATCH_SUBSTEPS", 2)
+        monkeypatch.setattr(propagation, "_BATCH_ENTRIES", 2 * 11**2)
+        assert propagation._batch_size(11) == 2
         split = _checkpoints_fixed(H, grid, 8, tol)
         assert operator_norms(split[0] - whole[0]).max() <= 1e-13
         assert operator_norm(split[2] - whole[2]) <= 1e-13
@@ -474,13 +529,7 @@ def long_small_run():
     Hi, Hf = rng.standard_normal((2, 4, 4))
     H = LinearInterpolationHamiltonian(Hi + Hi.T, Hf + Hf.T, 20.0)
     grid = TimeGrid.uniform(20.0, 20001)
-    tracemalloc.start()
-    try:
-        prop = evolve_on_grid(H, grid, 1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return prop, peak
+    return _traced_peak(lambda: evolve_on_grid(H, grid, 1e-9))
 
 
 def test_evolve_holds_one_set_of_checkpoints(long_small_run):
@@ -491,6 +540,27 @@ def test_evolve_holds_one_set_of_checkpoints(long_small_run):
     prop, peak = long_small_run
     assert prop.step == pytest.approx(20.0 / 20000, rel=1e-12)
     assert peak <= 1.5 * prop.unitaries.nbytes
+
+
+def test_a_batch_is_small_beside_the_result():
+    """A batch's temporaries are cache-sized (_batch_size), so evolve_on_grid
+    peaks near its one (len(grid), d, d) result.  Measured: 1.44x for the
+    bundled ramp (T=12.5, 2001 points, tol 1e-8), 1.59x for its U_ad
+    (tol 1e-7) and 1.11x for a real 32-level ramp on 1025 points, against
+    3.45x, 3.83x and 5.75x with batches of 256 substeps."""
+    H = build_example_ramp(12.5)
+    grid = TimeGrid.uniform(12.5, 2001)
+    prop, peak = _traced_peak(lambda: evolve_on_grid(H, grid, 1e-8))
+    assert peak <= 1.6 * prop.unitaries.nbytes
+    flow = spectral_flow(H, grid)
+    prop, peak = _traced_peak(lambda: evolve_adiabatic(H, flow, 1e-7))
+    assert peak <= 1.8 * prop.unitaries.nbytes
+    Hi, Hf = np.random.default_rng(32).standard_normal((2, 32, 32))
+    H = LinearInterpolationHamiltonian(Hi + Hi.T, Hf + Hf.T, 2.0)
+    grid = TimeGrid.uniform(2.0, 1025)
+    prop, peak = _traced_peak(lambda: evolve_on_grid(H, grid, 1e-8))
+    assert prop.step == 2.0 / 1024
+    assert peak <= 1.3 * prop.unitaries.nbytes
 
 
 def test_polar_step_keeps_a_long_run_unitary(long_small_run, monkeypatch):
