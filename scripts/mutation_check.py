@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PROP = "src/lrlab/propagation.py"
 ADIA = "src/lrlab/adiabatic.py"
+LOC = "src/lrlab/locality.py"
 TIMEOUT = 600.0  # seconds per row
 
 # (file, exact old text, new text, what the change breaks)
@@ -87,10 +88,46 @@ ROWS = [
         "the bound's prefactor takes the larger support",
     ),
     (
-        "src/lrlab/locality.py",
+        PROP,
+        "phases = np.exp(-1j * np.outer(grid.points, w))",
+        "phases = np.exp(1j * np.outer(grid.points, w))",
+        "the closed form evolves by e^(+iHt), backwards in time",
+    ),
+    (
+        PROP,
+        "rest = sq[:i].sum(axis=0) + sq[i + 1 :].sum(axis=0)",
+        "rest = sq[:i].sum(axis=0) + sq[i + 2 :].sum(axis=0)",
+        "the singleton audit read-out skips the label after the source",
+    ),
+    (
+        LOC,
         "_LOAD_RTOL = 1e-12",
         "_LOAD_RTOL = 1e-3",
         "an a_mu understated by up to 0.1% is not flagged",
+    ),
+    (
+        LOC,
+        "loads = diag + 2.0 * np.einsum(",
+        "loads = diag + 1.0 * np.einsum(",
+        "a pair term loads each of its levels once, not twice",
+    ),
+    (
+        LOC,
+        "np.maximum(a_mu, loads, out=a_mu)",
+        "np.minimum(a_mu, loads, out=a_mu)",
+        "the rate scan takes the least load over levels, not the greatest",
+    ),
+    (
+        "src/lrlab/numerics.py",
+        "seg *= 0.5 * np.diff(",
+        "seg *= np.diff(",
+        "the running trapezoid drops its 0.5 weight",
+    ),
+    (
+        "src/lrlab/experiment.py",
+        "crossings[k] = float(pts[j - 1] + frac * (pts[j] - pts[j - 1]))",
+        "crossings[k] = float(pts[j])",
+        "a threshold crossing is read at the grid point, not interpolated",
     ),
     (
         ADIA,

@@ -12,6 +12,8 @@ threshold, and fit levels against crossing times.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +34,31 @@ from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_THRESHOLD = 6e-4
 DEFAULT_T_VALUES = (12.5, 25.0, 50.0, 100.0, 200.0, 400.0)
+
+
+def _number(value) -> bool:
+    """A real number, numpy scalars included; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+
+
+# each config field's test, and what a refusal says the field must be
+_FIELD_RULES = {
+    "T_values": (
+        lambda v: isinstance(v, (list, tuple, np.ndarray))
+        and len(v) > 0
+        and all(_number(T) and T > 0 for T in v),
+        "a non-empty list of positive numbers",
+    ),
+    "threshold": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "mu": (lambda v: v is None or _number(v) and v > 0, "a positive number or null"),
+    "grid_points": (
+        lambda v: _number(v) and isinstance(v, numbers.Integral) and v >= 2,
+        "an integer of at least 2",
+    ),
+    "integrator_tol": (lambda v: _number(v) and v > 0, "a positive number"),
+    "output_dir": (lambda v: isinstance(v, (str, os.PathLike)), "a path"),
+    "fixed_basis": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+}
 
 
 def parse_complex_matrix(rows) -> np.ndarray:
@@ -76,21 +103,11 @@ class ExperimentConfig:
     fixed_basis: bool = False
 
     def __post_init__(self):
+        for name, (valid, what) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValidationError(f"{name} must be {what}, got {value!r}")
         self.T_values = tuple(float(T) for T in self.T_values)
-        if not self.T_values:
-            raise ValidationError("T_values must not be empty")
-        if any(T <= 0 for T in self.T_values):
-            raise ValidationError("T_values must be positive")
-        if not (0.0 < self.threshold < 1.0):
-            raise ValidationError(
-                f"threshold must lie in (0, 1), got {self.threshold}"
-            )
-        if self.grid_points < 2:
-            raise ValidationError("grid_points must be at least 2")
-        if self.integrator_tol <= 0:
-            raise ValidationError("integrator_tol must be positive")
-        if self.mu is not None and self.mu <= 0:
-            raise ValidationError(f"mu must be positive, got {self.mu}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

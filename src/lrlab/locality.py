@@ -7,14 +7,14 @@ given basis ordering when, for every level i,
 
 for some rate mu > 0 and integrable a_mu(t).  The tightest such a_mu(t)
 (the max over levels) feeds the LR speed  V_LR = <a_mu>_t / mu, where
-<a_mu>_t is the running time average.  For matrices confined to an
+<a_mu>_t is the time average.  For matrices confined to an
 exponential envelope |H_ij| <= h exp(-mu' |i-j|) there is a closed-form
 bound 4h / (1 - exp(mu - mu')) and an optimal rate w(e^(1+mu')) - 1 in
 terms of the product logarithm w.
 
-One kernel, ``_a_mu``, takes a_mu from the |H| stack for every reader:
-``a_mu_pointwise``, ``certify``, ``optimize_mu_generic`` and the bound's
-hypothesis check ``LocalityCertificate.understated``.
+``_a_mu`` takes a_mu at one rate from the |H| stack, ``_scan_v_lr`` at many
+rates for ``optimize_mu_generic``; ``numerics.running_trapezoid`` integrates
+it for the bound's exponent, <a_mu>_t and every v_lr of the rate search.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .blocks import STRUCTURAL_ZERO, BlockDecomposition
 from .errors import NumericalError, ValidationError
 from .models import ConstantHamiltonian, TimeDependentHamiltonian
-from .numerics import TimeGrid, lambert_w, time_average
+from .numerics import TimeGrid, lambert_w, running_trapezoid
 
 # relative slack when comparing a locality load against a certificate's a_mu;
 # guards the exact equality case (a certificate audited against its own H)
@@ -45,11 +45,11 @@ class LocalityCertificate:
     Built from mu, the grid, the a_mu(t) samples on it and
     basis_permutation (level i sits at label basis_permutation[i]), which
     must be a permutation of range(dimension).  It keeps a read-only copy
-    of the samples and derives the rest from them: a_mu_max, the trapezoid
-    time average a_mu_timeavg, the speeds v_lr and v_lr_max (those over mu)
-    and growth, the running trapezoid integral of a_mu over [0, t], which
-    is the bound's exponent.  A copy made by ``dataclasses.replace`` with
-    new samples carries their figures.
+    of the samples and derives the rest from them: a_mu_max, growth, the
+    running trapezoid integral of a_mu over [0, t], which is the bound's
+    exponent, the time average a_mu_timeavg = growth(T) / T, and the speeds
+    v_lr and v_lr_max (those over mu).  A copy made by
+    ``dataclasses.replace`` with new samples carries their figures.
     """
 
     mu: float
@@ -67,13 +67,14 @@ class LocalityCertificate:
             raise ValidationError("basis_permutation is not a permutation")
         samples = np.array(self.a_mu_samples, dtype=float)
         samples.setflags(write=False)
-        # time_average refuses samples that do not match the grid
-        a_avg = time_average(samples, self.grid)
-        seg = 0.5 * (samples[1:] + samples[:-1]) * np.diff(self.grid.points)
-        growth = np.concatenate([[0.0], np.cumsum(seg)])
+        # one per grid point: running_trapezoid refuses another length
+        if samples.ndim != 1:
+            raise ValidationError("a_mu_samples must be one value per grid point")
+        growth = running_trapezoid(samples, self.grid)
         growth.setflags(write=False)
         object.__setattr__(self, "a_mu_samples", samples)
         object.__setattr__(self, "a_mu_max", float(samples.max()))
+        a_avg = float(growth[-1] / self.grid.t_final)
         object.__setattr__(self, "a_mu_timeavg", a_avg)
         object.__setattr__(self, "growth", growth)
 
@@ -135,28 +136,27 @@ def _a_mu(stack, mu: float, permutation: np.ndarray) -> np.ndarray:
     return loads.max(axis=1, initial=0.0)
 
 
-def _scan_v_lr(stack, mus: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _scan_v_lr(stack, mus, grid: TimeGrid) -> np.ndarray:
     """v_lr at each rate of mus from a (diag, off) stack of |H| in the
-    identity ordering, as ``_a_mu`` and ``time_average`` give it one rate at
-    a time.  Each level's (times, len(mus)) load is one product with the
-    weights e^(mu |i - j|) at every rate, kept in one buffer, and a running
-    maximum over levels gives a_mu; the trapezoid rule is then one product
-    with the grid's quadrature weights, summed for a stack of one matrix."""
+    identity ordering, as a certificate reads it from ``_a_mu``'s samples:
+    each level's (times, len(mus)) load is one product with the weights
+    e^(mu |i - j|) at every rate, and a running maximum over levels gives
+    a_mu.  A rate whose load overflows reads inf, with no warning."""
     diag, off = stack
     d = off.shape[-1]
     dist = np.abs(np.arange(d)[:, None] - np.arange(d))
-    a_mu = np.zeros((off.shape[0], mus.size))
+    a_mu = np.zeros((off.shape[0], len(mus)))
     loads = np.empty_like(a_mu)
-    for i in range(d):
-        np.matmul(off[:, i, :], np.exp(dist[i][:, None] * mus), out=loads)
-        loads *= 2.0
-        loads += diag[:, i, None]
-        np.maximum(a_mu, loads, out=a_mu)
-    half = 0.5 * np.diff(grid.points)
-    weights = np.append(half, 0.0) + np.append(0.0, half)
-    if a_mu.shape[0] == 1:
-        weights = weights.sum(keepdims=True)
-    return weights @ a_mu / grid.t_final / mus
+    # overflow to inf (and inf * 0) is deliberate; callers check for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            np.matmul(off[:, i, :], np.exp(dist[i][:, None] * mus), out=loads)
+            loads *= 2.0
+            loads += diag[:, i, None]
+            np.maximum(a_mu, loads, out=a_mu)
+        del loads  # freed before the integral allocates its result
+        a_mu = np.broadcast_to(a_mu, (len(grid), len(mus)))
+        return running_trapezoid(a_mu, grid)[-1] / grid.t_final / mus
 
 
 def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
@@ -246,9 +246,9 @@ def optimize_mu_generic(
     e^(mu dist_ij), is a non-negative-weighted sum of maxima of convex
     functions, so it is convex and non-negative, and the sublevel sets
     {f(mu) <= c mu} of f / mu are intervals (f / mu is quasiconvex).  A
-    coarse scan of _SCAN_POINTS values, taken at once by ``_scan_v_lr``,
-    brackets that minimum between the neighbours of the scan's best point,
-    and the golden-section search narrows the bracket, one rate at a time.
+    coarse scan of _SCAN_POINTS values brackets that minimum between the
+    neighbours of the scan's best point, and the golden-section search
+    narrows the bracket, one rate at a time; ``_scan_v_lr`` takes both.
     H is evaluated on the grid once: the scan, the search and the returned
     certificate read the same |H| stack.
     """
@@ -256,20 +256,13 @@ def optimize_mu_generic(
     if not (0.0 < lo < hi):
         raise ValidationError(f"need 0 < lo < hi, got ({lo}, {hi})")
 
-    permutation = np.arange(H.dimension)
     stack = _abs_stack(H, grid)
 
     def v_of_mu(mu: float) -> float:
-        # overflow to inf is deliberate; the scan check below rejects it
-        with np.errstate(over="ignore"):
-            loads = _a_mu(stack, mu, permutation)
-            samples = np.broadcast_to(loads, grid.points.shape)
-            return time_average(samples, grid) / mu
+        return _scan_v_lr(stack, [mu], grid)[0]
 
     scan_mus = np.linspace(lo, hi, _SCAN_POINTS)
-    # overflow to inf (and inf * 0) is deliberate; the check below rejects it
-    with np.errstate(over="ignore", invalid="ignore"):
-        scan_vals = _scan_v_lr(stack, scan_mus, grid)
+    scan_vals = _scan_v_lr(stack, scan_mus, grid)
     if not np.all(np.isfinite(scan_vals)):
         raise NumericalError(
             "v_lr(mu) is nonfinite on the requested range; "
@@ -292,4 +285,4 @@ def optimize_mu_generic(
             d = a + invphi * (b - a)
             fd = v_of_mu(d)
     mu_best = float(0.5 * (a + b))
-    return mu_best, _certificate(stack, mu_best, grid, permutation)
+    return mu_best, _certificate(stack, mu_best, grid, np.arange(H.dimension))

@@ -102,18 +102,29 @@ def lambert_w(x: float) -> float:
     raise ValidationError(f"lambert_w failed to converge for x = {x}")
 
 
-def time_average(samples, grid: TimeGrid) -> float:
-    """Trapezoidal approximation of (1/T) * integral of f over [0, T].
+def running_trapezoid(samples, grid: TimeGrid) -> np.ndarray:
+    """The trapezoid rule's integral of f over [0, t_k] at each grid point,
+    from f's samples along axis 0: row 0 is 0, and the last row over t_final
+    is the time average.  Exact for affine f.
 
-    `samples` are the values of f on the grid points and T is the last
-    grid point.  Exact for affine f.
+    For a constant or linearly ramped H it overstates the integral of a_mu:
+    each |H_ij(t)| is then the modulus of an affine function, so each
+    level's load, and their maximum, is convex in t, and a chord lies above
+    a convex function.  The cut at blocks.STRUCTURAL_ZERO lowers an entry
+    by at most 1e-14.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.points.shape:
+    if samples.shape[:1] != grid.points.shape:
         raise ValidationError(
-            f"got {samples.size} samples for a {len(grid)}-point grid"
+            f"got samples of shape {samples.shape} for a {len(grid)}-point grid"
         )
-    return float(np.trapezoid(samples, grid.points) / grid.t_final)
+    # each interval's area, then their running sum, in place after row 0;
+    # halving is exact, so this is 0.5 * (f[1:] + f[:-1]) * dt bit for bit
+    out = np.zeros(samples.shape)
+    seg = np.add(samples[1:], samples[:-1], out=out[1:])
+    seg *= 0.5 * np.diff(grid.points).reshape((-1,) + (1,) * (samples.ndim - 1))
+    np.cumsum(seg, axis=0, out=seg)
+    return out
 
 
 def csv_text(header, rows) -> str:

@@ -82,6 +82,49 @@ def test_config_from_file(tmp_path):
         ExperimentConfig.from_dict(read_config(bad))
 
 
+# a field of the wrong type in a config file, and the field the refusal names
+WRONG_TYPES = [
+    ("fixed_basis", "no"),
+    ("grid_points", 201.7),
+    ("threshold", "x"),
+    ("T_values", 5),
+    ("grid_points", "201"),
+    ("mu", "a"),
+    ("integrator_tol", None),
+]
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES)
+def test_config_refuses_a_field_of_the_wrong_type(field, value):
+    """A string is not read as true, a fraction is not cut to an integer,
+    and no wrong type ends in a TypeError: each is refused by name."""
+    with pytest.raises(ValidationError, match=field):
+        ExperimentConfig.from_dict({field: value})
+
+
+@pytest.mark.parametrize("field, value", WRONG_TYPES)
+def test_cli_refuses_a_config_field_of_the_wrong_type(field, value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    assert main(["locality", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = ExperimentConfig(
+        T_values=np.array([5.0, 10.0]),
+        threshold=np.float32(0.25),
+        mu=np.float64(0.5),
+        grid_points=np.int64(101),
+        integrator_tol=np.float64(1e-8),
+        fixed_basis=np.bool_(True),
+    )
+    assert cfg.T_values == (5.0, 10.0)
+    assert (cfg.threshold, cfg.mu, cfg.integrator_tol) == (0.25, 0.5, 1e-8)
+    assert cfg.grid_points == 101 and cfg.fixed_basis
+
+
 def test_parse_complex_matrix():
     M = parse_complex_matrix([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [2.0, 0.0]]])
     np.testing.assert_allclose(M, np.array([[1.0, -1j], [1j, 2.0]]))

@@ -281,6 +281,69 @@ def test_certificate_derives_its_figures_from_its_samples():
     assert cert.growth[-1] == pytest.approx(cert.a_mu_timeavg * 5.0, rel=1e-12)
 
 
+def test_time_average_is_the_growth_at_t_final():
+    """One integral gives the exponent and the average: every certificate's
+    a_mu_timeavg is growth(T) / T and its v_lr that over mu, bit for bit,
+    whether certified, optimized or replaced."""
+    grid = TimeGrid.uniform(12.5, 2001)
+    H = build_example_ramp(12.5)
+    M = random_exp_local(ExpLocalSpec(12, 1.0, 1.0, seed=1))
+    certs = [
+        certify(H, 0.5, grid),
+        certify(ConstantHamiltonian(M), 0.5, grid),
+        optimize_mu_generic(H, grid, (0.05, 5.0))[1],
+    ]
+    root = np.sqrt(certs[0].a_mu_samples)
+    certs.append(dataclasses.replace(certs[0], a_mu_samples=root))
+    for cert in certs:
+        assert cert.a_mu_timeavg == cert.growth[-1] / grid.t_final
+        assert cert.v_lr == cert.a_mu_timeavg / cert.mu
+
+
+def _random_endpoint(rng, d, complex_entries):
+    """A random Hermitian d x d matrix, real or complex, with about a third
+    of its off-diagonal pairs zero."""
+    A = rng.normal(size=(d, d))
+    if complex_entries:
+        A = A + 1j * rng.normal(size=(d, d))
+    A = A + A.conj().T
+    keep = np.triu(rng.random((d, d)) < 0.67, 1)
+    return np.where(keep | keep.T | np.eye(d, dtype=bool), A, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 8),
+    st.integers(2, 15),
+    st.floats(0.05, 2.0),
+    st.floats(0.1, 50.0),
+    st.booleans(),
+)
+def test_growth_overstates_the_integral_on_linear_ramps(
+    seed, d, n, mu, T, complex_entries
+):
+    """On a linear ramp each |H_ij(t)| is the modulus of an affine function,
+    so a_mu is convex in t and its chords lie above it: the growth at T is
+    at least its value on a grid 64x finer, and a_mu at each interval's
+    midpoint is at most the chord, both to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    H = LinearInterpolationHamiltonian(
+        _random_endpoint(rng, d, complex_entries),
+        _random_endpoint(rng, d, complex_entries),
+        T,
+    )
+    grid = TimeGrid.uniform(T, n)
+    coarse = certify(H, mu, grid).growth[-1]
+    fine = certify(H, mu, TimeGrid.uniform(T, 64 * (n - 1) + 1)).growth[-1]
+    assert coarse >= fine * (1.0 - 1e-12)
+    pts = grid.points
+    both = TimeGrid(np.sort(np.concatenate([pts, 0.5 * (pts[1:] + pts[:-1])])))
+    a = certify(H, mu, both).a_mu_samples
+    chord = 0.5 * (a[:-2:2] + a[2::2])
+    assert np.all(a[1::2] <= chord * (1.0 + 1e-12))
+
+
 def test_certificate_samples_are_a_read_only_copy():
     grid = TimeGrid.uniform(1.0, 11)
     samples = np.ones(11)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lrlab.adiabatic import spectral_flow
 from lrlab.errors import ValidationError
 from lrlab.models import ConstantHamiltonian, build_example_ramp
-from lrlab.numerics import TimeGrid, lambert_w, operator_norms, time_average
+from lrlab.numerics import TimeGrid, lambert_w, operator_norms, running_trapezoid
 from lrlab.propagation import _unitary_steps
 
 from _oracles import (
@@ -240,7 +240,13 @@ def test_lambert_monotone():
     assert np.all(np.diff(ws) > 0)
 
 
-# -- time_average ---------------------------------------------------------
+# -- time average from the running trapezoid ------------------------------
+
+
+def time_average(samples, grid):
+    """The time average over [0, T] as every reader takes it: the running
+    trapezoid's last row over T."""
+    return running_trapezoid(samples, grid)[-1] / grid.t_final
 
 
 def test_time_average_constant():
@@ -262,3 +268,20 @@ def test_time_average_window_validation():
     g = TimeGrid.uniform(1.0, 11)
     with pytest.raises(ValidationError):
         time_average(np.ones(10), g)
+
+
+def test_running_trapezoid_gives_the_integral_at_every_point():
+    """Row k is the integral over [0, t_k], exact for affine f at every
+    point; each column of a (len(grid), ...) stack is integrated on its
+    own, bit for bit as that column alone."""
+    g = TimeGrid([0.0, 0.1, 0.45, 0.7, 1.0])
+    f = np.stack([3.0 - 2.0 * g.points, g.points**2], axis=1)
+    run = running_trapezoid(f, g)
+    assert run.shape == (5, 2) and np.all(run[0] == 0.0)
+    np.testing.assert_allclose(run[:, 0], 3.0 * g.points - g.points**2, atol=1e-15)
+    for j in range(2):
+        assert np.array_equal(run[:, j], running_trapezoid(f[:, j], g))
+    with pytest.raises(ValidationError):
+        running_trapezoid(np.ones((4, 2)), g)
+    with pytest.raises(ValidationError):
+        running_trapezoid(2.0, g)
