@@ -141,6 +141,36 @@ ROWS = [
         "ends = np.ones_like(flow.eigenvalues[:, gdim:], dtype=bool)",
         "condition_report counts every excited column a level of its own",
     ),
+    (
+        ADIA,
+        "VG.shape[-1] :].conj().swapaxes(-1, -2) @ (W @ VG)",
+        "VG.shape[-1] :].swapaxes(-1, -2) @ (W @ VG)",
+        "the excited-ground block takes V_E^T, not V_E^dag, for a complex frame",
+    ),
+    (
+        ADIA,
+        "W / (vals[:, None, :gdim] - vals[:, gdim:, None])",
+        "W / (vals[:, gdim:, None] - vals[:, None, :gdim])",
+        "Gdot's perturbation formula divides by E_k - E_g, not E_g - E_k",
+    ),
+    (
+        ADIA,
+        "    D -= D.conj().swapaxes(-1, -2)",
+        "    D += D.conj().swapaxes(-1, -2)",
+        "H_ad adds i (X + X^dag), which is not Hermitian, for i (X - X^dag)",
+    ),
+    (
+        ADIA,
+        "np.sum(np.abs(leak) ** 2) / flow.ground_dim)",
+        "np.sum(np.abs(leak) ** 2))",
+        "delta_ad of a degenerate ground level is not divided by |G|",
+    ),
+    (
+        "src/lrlab/numerics.py",
+        "if stack.shape[0] > 1 and stack.strides[0] == 0:",
+        "if stack.shape[0] > 1:",
+        "every stack takes its first matrix's norm, not only a broadcast one",
+    ),
 ]
 
 TIER1 = [

@@ -12,6 +12,7 @@ threshold, and fit levels against crossing times.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -37,8 +38,12 @@ DEFAULT_T_VALUES = (12.5, 25.0, 50.0, 100.0, 200.0, 400.0)
 
 
 def _number(value) -> bool:
-    """A real number, numpy scalars included; a bool is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    """A finite real number, numpy scalars included; a bool is not one."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, (bool, np.bool_))
+        and math.isfinite(value)
+    )
 
 
 # each config field's test, and what a refusal says the field must be
@@ -47,15 +52,18 @@ _FIELD_RULES = {
         lambda v: isinstance(v, (list, tuple, np.ndarray))
         and len(v) > 0
         and all(_number(T) and T > 0 for T in v),
-        "a non-empty list of positive numbers",
+        "a non-empty list of positive finite numbers",
     ),
     "threshold": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
-    "mu": (lambda v: v is None or _number(v) and v > 0, "a positive number or null"),
+    "mu": (
+        lambda v: v is None or _number(v) and v > 0,
+        "a positive finite number or null",
+    ),
     "grid_points": (
         lambda v: _number(v) and isinstance(v, numbers.Integral) and v >= 2,
         "an integer of at least 2",
     ),
-    "integrator_tol": (lambda v: _number(v) and v > 0, "a positive number"),
+    "integrator_tol": (lambda v: _number(v) and v > 0, "a positive finite number"),
     "output_dir": (lambda v: isinstance(v, (str, os.PathLike)), "a path"),
     "fixed_basis": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
 }

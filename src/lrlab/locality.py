@@ -40,11 +40,10 @@ _GOLDEN_RTOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class LocalityCertificate:
-    """Locality data for one Hamiltonian, rate mu, and basis ordering.
+    """Locality data for one Hamiltonian at rate mu, in its own basis order.
 
-    Built from mu, the grid, the a_mu(t) samples on it and
-    basis_permutation (level i sits at label basis_permutation[i]), which
-    must be a permutation of range(dimension).  It keeps a read-only copy
+    Built from mu, the grid and the a_mu(t) samples on it; another basis
+    order is chosen by relabelling the matrix.  It keeps a read-only copy
     of the samples and derives the rest from them: a_mu_max, growth, the
     running trapezoid integral of a_mu over [0, t], which is the bound's
     exponent, the time average a_mu_timeavg = growth(T) / T, and the speeds
@@ -55,16 +54,11 @@ class LocalityCertificate:
     mu: float
     grid: TimeGrid
     a_mu_samples: np.ndarray
-    basis_permutation: np.ndarray
     a_mu_max: float = field(init=False)
     a_mu_timeavg: float = field(init=False)
     growth: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        perm = np.asarray(self.basis_permutation)
-        # sorted, not np.sort: numpy's sort kernels would add 0.4 MiB of RSS
-        if perm.ndim != 1 or sorted(perm.tolist()) != list(range(perm.size)):
-            raise ValidationError("basis_permutation is not a permutation")
         samples = np.array(self.a_mu_samples, dtype=float)
         samples.setflags(write=False)
         # one per grid point: running_trapezoid refuses another length
@@ -87,13 +81,12 @@ class LocalityCertificate:
         return self.a_mu_max / self.mu
 
     def understated(self, H: TimeDependentHamiltonian) -> np.ndarray:
-        """Grid indices where a_mu falls below H's locality load at mu, in
-        the certificate's basis, by more than a relative _LOAD_RTOL.  The
-        bound is proved only where a_mu bounds that load, so these points
-        fail its hypothesis.  An H of another dimension is refused."""
-        if H.dimension != len(self.basis_permutation):
-            raise ValidationError("certificate and H differ in dimension")
-        load = _a_mu(_abs_stack(H, self.grid), self.mu, self.basis_permutation)
+        """Grid indices where a_mu falls below H's locality load at mu by
+        more than a relative _LOAD_RTOL.  The bound is proved only where
+        a_mu bounds that load, so these points fail its hypothesis.  The
+        load is H's own, so a certificate made from another H, of any
+        dimension, is judged by the H it is checked against."""
+        load = _a_mu(_abs_stack(H, self.grid), self.mu)
         return np.nonzero(self.a_mu_samples < load * (1.0 - _LOAD_RTOL))[0]
 
     def to_json_dict(self) -> dict:
@@ -105,7 +98,6 @@ class LocalityCertificate:
             "v_lr_max": self.v_lr_max,
             "grid": [float(t) for t in self.grid.points],
             "a_mu": [float(a) for a in self.a_mu_samples],
-            "basis_permutation": [int(p) for p in self.basis_permutation],
         }
 
 
@@ -118,30 +110,28 @@ def _abs_offdiag_and_diag(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, W
 
 
-def _a_mu(stack, mu: float, permutation: np.ndarray) -> np.ndarray:
+def _a_mu(stack, mu: float) -> np.ndarray:
     """a_mu at rate mu for each matrix of a (diag, off) stack of |H|, as
-    from ``_abs_offdiag_and_diag``, in the basis where level i sits at label
-    permutation[i].
+    from ``_abs_offdiag_and_diag``.
 
-    Pairwise terms contribute 2 |H_ij| e^(mu dist_ij) to both levels of the
+    Pairwise terms contribute 2 |H_ij| e^(mu |i - j|) to both levels of the
     pair and singleton terms |H_ii| to their level, so level i carries
     sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z), and a_mu is the max over
-    levels.  Only the label distances dist_ij = |permutation[i] -
-    permutation[j]| depend on the ordering, so no matrix is relabeled.
+    levels.
     """
     diag, off = stack
-    labels = np.asarray(permutation)
-    dist = np.abs(labels[:, None] - labels[None, :])
+    d = off.shape[-1]
+    dist = np.abs(np.arange(d)[:, None] - np.arange(d))
     loads = diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
     return loads.max(axis=1, initial=0.0)
 
 
 def _scan_v_lr(stack, mus, grid: TimeGrid) -> np.ndarray:
-    """v_lr at each rate of mus from a (diag, off) stack of |H| in the
-    identity ordering, as a certificate reads it from ``_a_mu``'s samples:
-    each level's (times, len(mus)) load is one product with the weights
-    e^(mu |i - j|) at every rate, and a running maximum over levels gives
-    a_mu.  A rate whose load overflows reads inf, with no warning."""
+    """v_lr at each rate of mus from a (diag, off) stack of |H|, as a
+    certificate reads it from ``_a_mu``'s samples: each level's
+    (times, len(mus)) load is one product with the weights e^(mu |i - j|)
+    at every rate, and a running maximum over levels gives a_mu.  A rate
+    whose load overflows reads inf, with no warning."""
     diag, off = stack
     d = off.shape[-1]
     dist = np.abs(np.arange(d)[:, None] - np.arange(d))
@@ -164,10 +154,10 @@ def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
 
     Returns max over levels i of sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z).
     """
-    if mu <= 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
+    if not 0.0 < mu < np.inf:
+        raise ValidationError(f"mu must be positive and finite, got {mu}")
     stack = _abs_offdiag_and_diag(decomp.matrix[None])
-    return float(_a_mu(stack, mu, np.arange(decomp.dimension))[0])
+    return float(_a_mu(stack, mu)[0])
 
 
 def _abs_stack(
@@ -182,29 +172,20 @@ def _abs_stack(
     return _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
 
 
-def _certificate(stack, mu: float, grid: TimeGrid, permutation) -> LocalityCertificate:
+def _certificate(stack, mu: float, grid: TimeGrid) -> LocalityCertificate:
     """The certificate at mu from a (diag, off) stack of |H| on the grid."""
-    samples = np.broadcast_to(_a_mu(stack, mu, permutation), grid.points.shape)
-    return LocalityCertificate(float(mu), grid, samples, permutation)
+    samples = np.broadcast_to(_a_mu(stack, mu), grid.points.shape)
+    return LocalityCertificate(float(mu), grid, samples)
 
 
 def certify(
-    H: TimeDependentHamiltonian,
-    mu: float,
-    grid: TimeGrid,
-    permutation: np.ndarray | None = None,
+    H: TimeDependentHamiltonian, mu: float, grid: TimeGrid
 ) -> LocalityCertificate:
-    """Sample a_mu(t) on the grid, in the basis where level i sits at label
-    permutation[i] (the identity by default), and assemble the LR-speed
-    certificate.  A permutation that is not one of H's levels is refused."""
-    if mu <= 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
-    if permutation is None:
-        permutation = np.arange(H.dimension)
-    permutation = np.asarray(permutation, dtype=int)
-    if permutation.shape != (H.dimension,):
-        raise ValidationError(f"permutation does not fit dimension {H.dimension}")
-    return _certificate(_abs_stack(H, grid), mu, grid, permutation)
+    """Sample a_mu(t) on the grid, in H's own basis order, and assemble the
+    LR-speed certificate."""
+    if not 0.0 < mu < np.inf:
+        raise ValidationError(f"mu must be positive and finite, got {mu}")
+    return _certificate(_abs_stack(H, grid), mu, grid)
 
 
 def exp_local_bound(h: float, mu_prime: float, mu: float) -> float:
@@ -285,4 +266,4 @@ def optimize_mu_generic(
             d = a + invphi * (b - a)
             fd = v_of_mu(d)
     mu_best = float(0.5 * (a + b))
-    return mu_best, _certificate(stack, mu_best, grid, np.arange(H.dimension))
+    return mu_best, _certificate(stack, mu_best, grid)

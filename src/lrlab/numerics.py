@@ -32,8 +32,8 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t_final: float, n_points: int) -> "TimeGrid":
-        if t_final <= 0:
-            raise ValidationError(f"t_final must be positive, got {t_final}")
+        if not 0.0 < t_final < np.inf:
+            raise ValidationError(f"t_final must be positive and finite, got {t_final}")
         return cls(np.linspace(0.0, float(t_final), int(n_points)))
 
     @property

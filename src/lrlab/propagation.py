@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import Block, block_distance
+from .blocks import HERMITICITY_TOL, Block, block_distance
 from .errors import IntegrationError, ValidationError
 from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
@@ -280,7 +280,10 @@ def _times(X: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Hermitian generators M4 and M6 of the substeps [bounds[k], bounds[k+1]]
     of widths hs, with exp(-i h M) = exp(Omega), written into one
-    (2, len(hs), d, d) stack (see the module docstring)."""
+    (2, len(hs), d, d) stack (see the module docstring).  Each commutator
+    takes one product, which holds for a Hermitian H alone, so an H that is
+    not Hermitian at a substep's midpoint is refused: for it the two chains
+    need not agree, and the levels would refine in vain."""
     n, d = len(hs), H.dimension
     starts = bounds[:-1]
     nodes = np.concatenate(
@@ -295,6 +298,11 @@ def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
     gens = np.empty((2, n, d, d), dtype=complex)
     M4, M6 = gens
     with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused by the kernel
+        skew = np.abs(Hm - Hm.conj().swapaxes(-1, -2)).max()
+        if skew > HERMITICITY_TOL * max(1.0, np.abs(Hm).max()):
+            raise ValidationError(
+                f"H(t) is not Hermitian: max |H - H^dag| = {skew:.3e}"
+            )
         M4[...] = _commutator(Hs, He) * (1j / 12.0 * h)
         M4 += (Hs + 4.0 * Hm + He) / 6.0
         # for Hlo == Hm == Hhi, b2 and b3, and so every commutator, are 0
@@ -555,7 +563,7 @@ def bound_audit(
 
     The bound at time t is the certificate's: its exponent is
     ``certificate.growth``, the integral of a_mu over [0, t], and the
-    distance d(A, B) is measured in its basis_permutation.  A margin below
+    distance d(A, B) is measured in H's own labels.  A margin below
     -VIOLATION_THRESHOLD flags a violation: either an implementation bug or
     an invalid certificate, since the bound is a theorem for valid ones.
 
@@ -571,7 +579,7 @@ def bound_audit(
     if supp_a.labels[-1] >= d or supp_b.labels[-1] >= d:
         raise ValidationError("support labels exceed the Hamiltonian dimension")
 
-    understated = certificate.understated(H)  # refuses another dimension
+    understated = certificate.understated(H)
     if propagator.dimension != d:
         raise ValidationError("propagator and H differ in dimension")
     grid = certificate.grid
@@ -593,12 +601,8 @@ def bound_audit(
         gram = X @ X.conj().transpose(0, 2, 1)
         lhs = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
-    # level i sits at label basis_permutation[i], where a_mu is certified;
     # the projectors on the supports have norm 1
-    perm = certificate.basis_permutation
-    rhs = lr_bound_rhs(
-        Block(perm[a]), Block(perm[b]), certificate.mu, certificate.growth
-    )
+    rhs = lr_bound_rhs(supp_a, supp_b, certificate.mu, certificate.growth)
 
     return AuditReport(
         times=grid.points.copy(),

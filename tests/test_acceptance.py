@@ -93,7 +93,6 @@ def ensemble():
             mu=2.0 * mu,
             grid=grid,
             a_mu_samples=cert.a_mu_samples,
-            basis_permutation=cert.basis_permutation,
         )
         pairs = [
             (Block([i]), Block([j]))

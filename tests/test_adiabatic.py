@@ -463,6 +463,21 @@ def test_run_raises_u_error_before_u_ad_error(monkeypatch):
         assert run.value.defect == alone.value.defect
 
 
+def test_run_raises_u_ad_error_when_it_fails_alone(monkeypatch):
+    """With U converged and U_ad failed, run_adiabatic raises U_ad's error,
+    whether U runs on the calling thread or on a second one."""
+    H = build_example_ramp(1.0)
+
+    def failing(*args):
+        raise IntegrationError("U_ad did not converge", defect=0.5)
+
+    monkeypatch.setattr(adiabatic, "evolve_adiabatic", failing)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LRLAB_THREADS", threads)
+        with pytest.raises(IntegrationError, match="U_ad did not converge"):
+            run_adiabatic(H, TimeGrid.uniform(1.0, 11))
+
+
 def test_real_ramp_stays_real_without_complex_warnings():
     """The bundled ramp's flow and generator frames are float64; only the
     propagators and H_ad, where i enters, are complex.  No step of the run

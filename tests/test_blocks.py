@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab.blocks import Block, block_distance, pairwise_decompose
+from lrlab.blocks import Block, bandwidth, block_distance, pairwise_decompose
 from lrlab.errors import ValidationError
 from lrlab.models import build_example_ramp
 
@@ -21,6 +21,11 @@ def test_diameter_examples():
 def test_empty_block_rejected():
     with pytest.raises(ValidationError):
         Block([])
+
+
+def test_block_refuses_a_negative_label():
+    with pytest.raises(ValidationError, match="labels must be nonnegative, got -1"):
+        Block([2, -1])
 
 
 def test_block_normalizes_labels():
@@ -81,6 +86,16 @@ def test_pairwise_decompose_example_ramp_endpoint():
 def test_pairwise_decompose_rejects_non_hermitian():
     with pytest.raises(ValidationError):
         pairwise_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_bandwidth_of_a_zero_matrix_is_zero():
+    assert bandwidth(np.zeros((3, 3))) == 0
+    assert bandwidth(np.diag([0.0, 1e-300, 0.0])) == 0
+
+
+def test_pairwise_decompose_rejects_a_non_square_matrix():
+    with pytest.raises(ValidationError, match=r"square matrix, got shape \(2, 3\)"):
+        pairwise_decompose(np.zeros((2, 3)))
 
 
 def test_pairwise_roundtrip_random():

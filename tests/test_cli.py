@@ -327,6 +327,14 @@ def test_bad_config_is_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_fig1_refuses_an_infinite_total_time_before_writing(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["fig1", "--T", "inf", "12.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: T_values must be") and "inf" in err
+    assert not out.exists()
+
+
 def test_flag_overrides_are_validated(small_cfg_file, tmp_path, capsys):
     assert main(["locality", "--config", str(small_cfg_file), "--grid", "1"]) == 1
     assert "grid_points" in capsys.readouterr().err
@@ -336,6 +344,12 @@ def test_flag_overrides_are_validated(small_cfg_file, tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": 0}))
     assert main(["decompose", "--config", str(cfg)]) == 1
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_bad_label_list_is_validation_error(small_cfg_file, capsys):
+    argv = ["bound-check", "--config", str(small_cfg_file)]
+    assert main(argv + ["--supp-a", "0,x", "--supp-b", "5"]) == 1
+    assert "bad label list '0,x'" in capsys.readouterr().err
 
 
 def test_spread_takes_one_source_label(small_cfg_file, tmp_path, capsys):

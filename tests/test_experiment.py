@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from lrlab.adiabatic import CLUSTER_TOL, spectral_flow
+from lrlab import experiment
 from lrlab.cli import main
 from lrlab.errors import InsufficientCrossingsError, ValidationError
 from lrlab.experiment import (
     ExperimentConfig,
+    _first_crossings,
     _worker_count,
     empirical_v_lr,
     parse_complex_matrix,
@@ -91,6 +93,11 @@ WRONG_TYPES = [
     ("grid_points", "201"),
     ("mu", "a"),
     ("integrator_tol", None),
+    ("mu", float("inf")),
+    ("mu", float("nan")),
+    ("T_values", [12.5, float("inf")]),
+    ("integrator_tol", float("inf")),
+    ("threshold", float("nan")),
 ]
 
 
@@ -234,6 +241,30 @@ def test_empirical_speed_refuses_levels_within_cluster_tol():
     prop = evolve_on_grid(H, grid)
     with pytest.raises(ValidationError, match="degenerate"):
         empirical_v_lr(H, 1.0, 1e-3, grid, flow=flow, propagator=prop)
+
+
+def test_a_level_above_threshold_at_the_start_crosses_at_the_first_point():
+    amps = np.array([[1.0, 0.5, 0.0], [0.9, 0.6, 0.2]])
+    crossings = _first_crossings(amps, np.array([0.0, 2.0]), 0.1)
+    assert crossings == {1: 0.0, 2: pytest.approx(1.0, abs=1e-15)}
+
+
+def test_empirical_speed_refuses_a_non_positive_threshold():
+    H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2]))
+    grid = TimeGrid.uniform(1.0, 11)
+    flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid)
+    with pytest.raises(ValidationError, match="threshold must be positive, got 0.0"):
+        empirical_v_lr(H, 1.0, 0.0, grid, flow=flow, propagator=prop)
+
+
+def test_empirical_speed_needs_two_distinct_crossing_times(monkeypatch):
+    """Crossings that all fall at one time fit no slope."""
+    H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2]))
+    grid = TimeGrid.uniform(1.0, 11)
+    flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid)
+    monkeypatch.setattr(experiment, "_first_crossings", lambda *a: {1: 0.5, 2: 0.5})
+    with pytest.raises(InsufficientCrossingsError, match="crossing times coincide"):
+        empirical_v_lr(H, 1.0, 0.1, grid, flow=flow, propagator=prop)
 
 
 def test_empirical_speed_refuses_misaligned_grids():

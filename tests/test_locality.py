@@ -225,44 +225,31 @@ def test_constant_load_is_the_batched_load_repeated():
     """certify takes a constant H's load once; it equals the load of the
     evaluated stack at every grid point, in any basis ordering."""
     M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))
-    H = ConstantHamiltonian(M)
     grid = TimeGrid.uniform(2.0, 401)
     swap = np.arange(10)
     swap[[0, 9]] = [9, 0]
-    stack = _abs_offdiag_and_diag(H.evaluate_batch(grid.points))
     for perm in (np.arange(10), swap):
-        batched = _a_mu(stack, 0.5, perm)
-        got = certify(H, 0.5, grid, permutation=perm).a_mu_samples
+        H = ConstantHamiltonian(apply_permutation(M, perm))
+        batched = _a_mu(_abs_offdiag_and_diag(H.evaluate_batch(grid.points)), 0.5)
+        got = certify(H, 0.5, grid).a_mu_samples
         assert got.shape == grid.points.shape
         assert np.array_equal(got, batched)
 
 
-def test_certify_with_permutation_matches_manual_reorder():
-    M = random_exp_local(ExpLocalSpec(6, 1.0, 1.0, seed=3))
-    perm = np.array([2, 0, 1, 5, 4, 3])
-    grid = TimeGrid.uniform(1.0, 5)
-    direct = certify(ConstantHamiltonian(apply_permutation(M, perm)), 0.5, grid)
-    via_arg = certify(ConstantHamiltonian(M), 0.5, grid, permutation=perm)
-    np.testing.assert_allclose(via_arg.a_mu_samples, direct.a_mu_samples, atol=1e-13)
-
-
 def test_certificate_json_round_trip_keys():
-    cert = certify(build_example_ramp(5.0), 0.5, TimeGrid.uniform(5.0, 11))
-    payload = cert.to_json_dict()
-    for key in ("mu", "a_mu_max", "a_mu_timeavg", "v_lr", "grid", "a_mu"):
-        assert key in payload
-    assert len(payload["grid"]) == len(payload["a_mu"]) == 11
-
-
-def test_certificate_needs_a_permutation_and_serializes():
+    """A certificate is mu, the grid and the a_mu samples; its JSON holds
+    them and the figures derived from them, and reads back unchanged."""
     grid = TimeGrid.uniform(5.0, 11)
     cert = certify(build_example_ramp(5.0), 0.5, grid)
-    with pytest.raises(TypeError, match="basis_permutation"):
-        LocalityCertificate(mu=cert.mu, grid=grid, a_mu_samples=cert.a_mu_samples)
     payload = json.loads(json.dumps(cert.to_json_dict()))
+    assert set(payload) == {
+        "mu", "a_mu_max", "a_mu_timeavg", "v_lr", "v_lr_max", "grid", "a_mu"
+    }
+    assert len(payload["grid"]) == len(payload["a_mu"]) == 11
     assert payload == cert.to_json_dict()
-    assert payload["basis_permutation"] == list(range(11))
     assert payload["a_mu"] == cert.a_mu_samples.tolist()
+    rebuilt = LocalityCertificate(cert.mu, grid, cert.a_mu_samples)
+    assert rebuilt.to_json_dict() == payload
 
 
 def test_certificate_derives_its_figures_from_its_samples():
@@ -347,9 +334,7 @@ def test_growth_overstates_the_integral_on_linear_ramps(
 def test_certificate_samples_are_a_read_only_copy():
     grid = TimeGrid.uniform(1.0, 11)
     samples = np.ones(11)
-    cert = LocalityCertificate(
-        mu=0.5, grid=grid, a_mu_samples=samples, basis_permutation=np.arange(3)
-    )
+    cert = LocalityCertificate(mu=0.5, grid=grid, a_mu_samples=samples)
     samples[0] = 5.0
     assert cert.a_mu_samples[0] == 1.0 and cert.a_mu_max == 1.0
     with pytest.raises(ValueError):
@@ -360,38 +345,18 @@ def test_certificate_samples_are_a_read_only_copy():
         cert.a_mu_samples = samples
     with pytest.raises(ValidationError):
         dataclasses.replace(cert, a_mu_samples=np.ones(10))
+    with pytest.raises(ValidationError, match="one value per grid point"):
+        dataclasses.replace(cert, a_mu_samples=np.ones((11, 1)))
 
 
-def test_certificate_refuses_a_basis_order_that_is_no_permutation():
-    """With every level at label 0 every distance would read 0, and a_mu
-    would fall 3.80 -> 2.20 here; such an order, one with a label missing
-    or one of another dimension is refused by certify and by the
-    certificate itself."""
-    H = ConstantHamiltonian(random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0)))
-    grid = TimeGrid.uniform(1.0, 5)
-    cert = certify(H, 0.5, grid)
-    repeated = np.arange(10)
-    repeated[9] = 8
-    for bad in (np.zeros(10, int), repeated, np.arange(1, 11)):
-        with pytest.raises(ValidationError, match="permutation"):
-            certify(H, 0.5, grid, permutation=bad)
-        with pytest.raises(ValidationError, match="permutation"):
-            dataclasses.replace(cert, basis_permutation=bad)
-    for bad in (np.arange(5), np.arange(10).reshape(2, 5)):
-        with pytest.raises(ValidationError, match="dimension"):
-            certify(H, 0.5, grid, permutation=bad)
-
-
-def test_understated_refuses_an_h_of_another_dimension():
-    grid = TimeGrid.uniform(1.0, 5)
-    cert = certify(
-        ConstantHamiltonian(random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=0))),
-        0.5,
-        grid,
-    )
-    other = ConstantHamiltonian(random_exp_local(ExpLocalSpec(8, 1.0, 1.0, seed=0)))
-    with pytest.raises(ValidationError, match="dimension"):
-        cert.understated(other)
+@pytest.mark.parametrize("mu", [0.0, -0.5, np.inf, np.nan])
+def test_certify_refuses_a_rate_that_is_not_positive_and_finite(mu):
+    """An infinite rate would give a certificate of NaN samples."""
+    H = ConstantHamiltonian(np.eye(3))
+    with pytest.raises(ValidationError, match="mu must be positive and finite"):
+        certify(H, mu, TimeGrid.uniform(1.0, 5))
+    with pytest.raises(ValidationError, match="mu must be positive and finite"):
+        a_mu_pointwise(pairwise_decompose(H.matrix), mu)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -405,10 +370,25 @@ def test_exp_local_bound_values():
 
 
 def test_exp_local_bound_divergent_regime():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="divergent regime"):
         exp_local_bound(1.0, 1.0, 1.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="divergent regime"):
         exp_local_bound(1.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exp_local_bound(0.0, 1.0, 0.5), "h must be positive"),
+        (lambda: exp_local_bound(1.0, 1.0, -0.5), "mu must be nonnegative"),
+        (lambda: optimal_mu_exp_local(-1.0, 1.0), "h and mu_prime must be positive"),
+        (lambda: optimal_mu_exp_local(1.0, 0.0), "h and mu_prime must be positive"),
+    ],
+    ids=["h=0", "mu<0", "optimal h<0", "optimal mu'=0"],
+)
+def test_envelope_closed_forms_refuse_bad_parameters(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_exp_local_bound_dominates_actual_loads():
@@ -538,15 +518,19 @@ def test_v_lr_has_at_most_one_local_minimum(seed, n, mu_prime, T):
     minimum, which optimize_mu_generic relies on: over random envelope
     matrices, basis orders and linear ramps between two of them, 100 values
     on [0.05, 5] have at most one strict local minimum."""
+    perm = np.random.default_rng(seed).permutation(n)
     H = LinearInterpolationHamiltonian(
-        random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed)),
-        random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed + 1)),
+        apply_permutation(
+            random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed)), perm
+        ),
+        apply_permutation(
+            random_exp_local(ExpLocalSpec(n, 1.0, mu_prime, seed=seed + 1)), perm
+        ),
         T,
     )
-    perm = np.random.default_rng(seed).permutation(n)
     grid = TimeGrid.uniform(T, 11)
     vals = np.array(
-        [certify(H, mu, grid, perm).v_lr for mu in np.linspace(0.05, 5.0, 100)]
+        [certify(H, mu, grid).v_lr for mu in np.linspace(0.05, 5.0, 100)]
     )
     inner = vals[1:-1]
     assert np.sum((inner < vals[:-2]) & (inner < vals[2:])) <= 1

@@ -31,6 +31,9 @@ def test_grid_validation():
         TimeGrid([0.0, 2.0, 1.0])
     with pytest.raises(ValidationError):
         TimeGrid.uniform(0.0, 5)
+    for t_final in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            TimeGrid.uniform(t_final, 5)
 
 
 def test_grid_uniform():
@@ -82,6 +85,11 @@ def test_operator_norm_rejects_nonfinite():
     M[0, 0, 1] = np.inf
     with pytest.raises(ValidationError):
         operator_norms(M)
+
+
+def test_operator_norms_refuses_a_single_matrix():
+    with pytest.raises(ValidationError, match="expected a matrix stack, got ndim=2"):
+        operator_norms(np.eye(3))
 
 
 def test_operator_norms_of_a_broadcast_stack():
@@ -225,6 +233,9 @@ def test_lambert_against_bisection():
 def test_lambert_domain_error():
     with pytest.raises(ValidationError):
         lambert_w(-0.5)
+    # NaN passes the domain check, and no Newton step can settle on it
+    with pytest.raises(ValidationError, match="failed to converge for x = nan"):
+        lambert_w(np.nan)
 
 
 @given(st.floats(min_value=0.0, max_value=50.0))
