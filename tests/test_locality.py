@@ -237,15 +237,30 @@ def test_constant_load_is_the_batched_load_repeated():
 
 
 def test_certificate_json_round_trip_keys():
-    """A certificate is mu, the grid and the a_mu samples; its JSON holds
-    them and the figures derived from them, and reads back unchanged."""
-    grid = TimeGrid.uniform(5.0, 11)
-    cert = certify(build_example_ramp(5.0), 0.5, grid)
-    payload = json.loads(json.dumps(cert.to_json_dict()))
+    """The JSON holds mu, the grid, the a_mu samples and the figures derived
+    from them, and nothing else."""
+    cert = certify(build_example_ramp(5.0), 0.5, TimeGrid.uniform(5.0, 11))
+    payload = cert.to_json_dict()
     assert set(payload) == {
         "mu", "a_mu_max", "a_mu_timeavg", "v_lr", "v_lr_max", "grid", "a_mu"
     }
     assert len(payload["grid"]) == len(payload["a_mu"]) == 11
+
+
+def test_certificate_needs_a_permutation_and_serializes():
+    """A certificate needs mu, the grid and the a_mu samples and no basis
+    permutation: one is refused as an unknown field. Its JSON reads back
+    unchanged, and a certificate rebuilt from the three fields gives it."""
+    grid = TimeGrid.uniform(5.0, 11)
+    cert = certify(build_example_ramp(5.0), 0.5, grid)
+    with pytest.raises(TypeError, match="basis_permutation"):
+        LocalityCertificate(
+            mu=cert.mu,
+            grid=grid,
+            a_mu_samples=cert.a_mu_samples,
+            basis_permutation=np.arange(11),
+        )
+    payload = json.loads(json.dumps(cert.to_json_dict()))
     assert payload == cert.to_json_dict()
     assert payload["a_mu"] == cert.a_mu_samples.tolist()
     rebuilt = LocalityCertificate(cert.mu, grid, cert.a_mu_samples)
