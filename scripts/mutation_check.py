@@ -107,6 +107,18 @@ ROWS = [
     ),
     (
         LOC,
+        "        _check_load(samples, self.mu)\n",
+        "",
+        "a certificate of NaN or infinite a_mu samples is built",
+    ),
+    (
+        "src/lrlab/cli.py",
+        "np.triu(nonzero, 1)",
+        "np.triu(nonzero, 0)",
+        "decompose counts each nonzero diagonal entry as a pair too",
+    ),
+    (
+        LOC,
         "loads = diag + 2.0 * np.einsum(",
         "loads = diag + 1.0 * np.einsum(",
         "a pair term loads each of its levels once, not twice",

@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from lrlab.blocks import Block, pairwise_decompose
+from lrlab.blocks import Block
 from lrlab.locality import a_mu_pointwise, certify
 from lrlab.models import ConstantHamiltonian, ExpLocalSpec, random_exp_local
 from lrlab.numerics import TimeGrid
@@ -35,7 +35,7 @@ def main() -> int:
         )
         H = ConstantHamiltonian(M)
         mu = mu_prime / 2.0
-        a = a_mu_pointwise(pairwise_decompose(M), mu)
+        a = a_mu_pointwise(M, mu)
         grid = TimeGrid.uniform(5.0 / a, args.grid)
         cert = certify(H, mu, grid)
         prop = evolve_on_grid(H, grid)

@@ -1,10 +1,11 @@
-"""Basis-label bookkeeping: blocks, distances, pairwise decomposition.
+"""Basis-label bookkeeping: blocks, distances, bandwidth and the Hermitian
+check.
 
 A *block* is a finite set of basis labels (integers giving positions in an
-ordered representation basis).  A Hermitian matrix decomposes into terms
-supported on blocks; here we use the pairwise decomposition: one singleton
-block per nonzero diagonal entry and one two-label block per nonzero
-unordered off-diagonal pair.
+ordered representation basis).  A Hermitian matrix is its own pairwise
+decomposition H = sum_Z H_Z: the singleton {i} carries H_ii |i><i| and the
+pair {i, j} carries H_ij |i><j| + H_ji |j><i|, of operator norm |H_ij|, so
+the locality layer reads every term from |H| and no term list is built.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class Block:
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def diameter(self) -> int:
-        return self.labels[-1] - self.labels[0]
-
     def intersects(self, other: "Block") -> bool:
         return bool(set(self.labels) & set(other.labels))
 
@@ -51,28 +48,6 @@ def block_distance(a: Block, b: Block) -> int:
     or touch at equal labels."""
     # compares all pairs, which is cheap for the small blocks used here
     return min(abs(j - i) for i in a.labels for j in b.labels)
-
-
-@dataclass(eq=False)
-class BlockDecomposition:
-    """A Hermitian matrix written as a sum of singleton and pair terms.
-
-    ``matrix`` is the validated input, kept once.  Each term is stored as
-    (block, entry): H_ii for the singleton {i}, and H_ij (i < j) for the
-    pair {i, j}, whose term H_ij |i><j| + H_ji |j><i| has operator norm
-    |H_ij|.
-    """
-
-    matrix: np.ndarray
-    terms: list[tuple[Block, complex]]
-
-    @property
-    def dimension(self) -> int:
-        return int(self.matrix.shape[0])
-
-    def term_norms(self) -> list[tuple[Block, float]]:
-        """Operator norm |entry| of each term."""
-        return [(block, float(abs(entry))) for block, entry in self.terms]
 
 
 def _check_hermitian(H: np.ndarray) -> np.ndarray:
@@ -99,21 +74,11 @@ def _check_hermitian(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def pairwise_decompose(H: np.ndarray) -> BlockDecomposition:
-    """Decompose a Hermitian matrix into singleton and pair blocks.
-
-    Diagonal entry H[i,i] yields the singleton term H_ii |i><i|; each
-    unordered pair {i,j} with a nonzero coupling yields the term
-    H_ij |i><j| + H_ji |j><i|, whose operator norm equals |H_ij|.
-    Entries at or below STRUCTURAL_ZERO produce no term.
-    """
-    H = _check_hermitian(H)
-    nonzero = np.abs(H) > STRUCTURAL_ZERO
-    nonzero |= nonzero.T
-    terms = [(Block([i]), H[i, i]) for i in np.flatnonzero(np.diagonal(nonzero))]
-    rows, cols = np.nonzero(np.triu(nonzero, 1))
-    terms += [(Block([i, j]), H[i, j]) for i, j in zip(rows, cols)]
-    return BlockDecomposition(matrix=H, terms=terms)
+def pairwise_decompose(H: np.ndarray) -> np.ndarray:
+    """H's read-only, checked copy, from ``_check_hermitian``: its entries
+    are its pairwise terms.  perfbench's ``ensemble_audit`` workload is its
+    last reader, and the perfbench rework in ROADMAP.md deletes it."""
+    return _check_hermitian(H)
 
 
 def bandwidth(H: np.ndarray) -> int:

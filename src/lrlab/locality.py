@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import STRUCTURAL_ZERO, BlockDecomposition
+from .blocks import STRUCTURAL_ZERO, _check_hermitian
 from .errors import NumericalError, ValidationError
 from .models import ConstantHamiltonian, TimeDependentHamiltonian
 from .numerics import TimeGrid, lambert_w, running_trapezoid
@@ -38,6 +38,19 @@ _SCAN_POINTS = 100
 _GOLDEN_RTOL = 1e-6
 
 
+def _check_rate(mu: float) -> None:
+    """Refuse a rate outside 0 < mu < inf; NaN fails the comparison too."""
+    if not 0.0 < mu < np.inf:
+        raise ValidationError(f"mu must be positive and finite, got {mu}")
+
+
+def _check_load(a_mu: np.ndarray, mu: float) -> None:
+    """Refuse a_mu samples that are not all finite: a load that overflows
+    at mu bounds nothing."""
+    if not np.all(np.isfinite(a_mu)):
+        raise ValidationError(f"a_mu is not finite at mu={mu}")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalityCertificate:
     """Locality data for one Hamiltonian at rate mu, in its own basis order.
@@ -48,7 +61,8 @@ class LocalityCertificate:
     running trapezoid integral of a_mu over [0, t], which is the bound's
     exponent, the time average a_mu_timeavg = growth(T) / T, and the speeds
     v_lr and v_lr_max (those over mu).  A copy made by
-    ``dataclasses.replace`` with new samples carries their figures.
+    ``dataclasses.replace`` with new samples carries their figures.  A rate
+    outside 0 < mu < inf and samples that are not all finite are refused.
     """
 
     mu: float
@@ -59,11 +73,13 @@ class LocalityCertificate:
     growth: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        _check_rate(self.mu)
         samples = np.array(self.a_mu_samples, dtype=float)
         samples.setflags(write=False)
         # one per grid point: running_trapezoid refuses another length
         if samples.ndim != 1:
             raise ValidationError("a_mu_samples must be one value per grid point")
+        _check_load(samples, self.mu)
         growth = running_trapezoid(samples, self.grid)
         growth.setflags(write=False)
         object.__setattr__(self, "a_mu_samples", samples)
@@ -85,9 +101,10 @@ class LocalityCertificate:
         more than a relative _LOAD_RTOL.  The bound is proved only where
         a_mu bounds that load, so these points fail its hypothesis.  The
         load is H's own, so a certificate made from another H, of any
-        dimension, is judged by the H it is checked against."""
+        dimension, is judged by the H it is checked against.  A load that
+        overflows is never bounded, so its points are flagged too."""
         load = _a_mu(_abs_stack(H, self.grid), self.mu)
-        return np.nonzero(self.a_mu_samples < load * (1.0 - _LOAD_RTOL))[0]
+        return np.nonzero(~(self.a_mu_samples >= load * (1.0 - _LOAD_RTOL)))[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,12 +134,14 @@ def _a_mu(stack, mu: float) -> np.ndarray:
     Pairwise terms contribute 2 |H_ij| e^(mu |i - j|) to both levels of the
     pair and singleton terms |H_ii| to their level, so level i carries
     sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z), and a_mu is the max over
-    levels.
+    levels.  A load that overflows reads inf or NaN, with no warning; the
+    callers refuse it.
     """
     diag, off = stack
     d = off.shape[-1]
     dist = np.abs(np.arange(d)[:, None] - np.arange(d))
-    loads = diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
     return loads.max(axis=1, initial=0.0)
 
 
@@ -149,15 +168,14 @@ def _scan_v_lr(stack, mus, grid: TimeGrid) -> np.ndarray:
         return running_trapezoid(a_mu, grid)[-1] / grid.t_final / mus
 
 
-def a_mu_pointwise(decomp: BlockDecomposition, mu: float) -> float:
-    """Tightest locality constant of a decomposition at rate mu.
-
-    Returns max over levels i of sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z).
-    """
-    if not 0.0 < mu < np.inf:
-        raise ValidationError(f"mu must be positive and finite, got {mu}")
-    stack = _abs_offdiag_and_diag(decomp.matrix[None])
-    return float(_a_mu(stack, mu)[0])
+def a_mu_pointwise(H: np.ndarray, mu: float) -> float:
+    """Tightest locality constant of a Hermitian matrix at rate mu, from its
+    pairwise decomposition: max over levels i of
+    sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z)."""
+    _check_rate(mu)
+    a_mu = _a_mu(_abs_offdiag_and_diag(_check_hermitian(H)[None]), mu)
+    _check_load(a_mu, mu)
+    return float(a_mu[0])
 
 
 def _abs_stack(
@@ -182,9 +200,8 @@ def certify(
     H: TimeDependentHamiltonian, mu: float, grid: TimeGrid
 ) -> LocalityCertificate:
     """Sample a_mu(t) on the grid, in H's own basis order, and assemble the
-    LR-speed certificate."""
-    if not 0.0 < mu < np.inf:
-        raise ValidationError(f"mu must be positive and finite, got {mu}")
+    LR-speed certificate.  The certificate refuses a rate outside
+    0 < mu < inf, and one whose load overflows."""
     return _certificate(_abs_stack(H, grid), mu, grid)
 
 
@@ -234,8 +251,8 @@ def optimize_mu_generic(
     certificate read the same |H| stack.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
-    if not (0.0 < lo < hi):
-        raise ValidationError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if not (0.0 < lo < hi < np.inf):
+        raise ValidationError(f"need 0 < lo < hi < inf, got ({lo}, {hi})")
 
     stack = _abs_stack(H, grid)
 

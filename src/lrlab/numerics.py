@@ -16,12 +16,15 @@ from .errors import ValidationError
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing time points starting at 0 (hbar = 1 units)."""
+    """Strictly increasing time points starting at 0 (hbar = 1 units), kept
+    as a read-only copy, so that later writes to the caller's array cannot
+    reach the grid."""
 
     points: np.ndarray
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
+        pts.setflags(write=False)
         if pts.ndim != 1 or pts.size < 2:
             raise ValidationError("a time grid needs at least 2 points")
         if pts[0] != 0.0:

@@ -120,7 +120,7 @@ _GAUSS_SLOPE = np.sqrt(15.0) / 3.0
 # the Taylor series of a substep's exponential is cut where its tail bound
 # falls below the unit roundoff of double precision
 _UNIT_ROUNDOFF = 2.0**-53
-# an audit margin below -VIOLATION_THRESHOLD is a violation of the bound
+# an audit margin below -VIOLATION_THRESHOLD, or NaN, violates the bound
 VIOLATION_THRESHOLD = 1e-9
 
 
@@ -511,9 +511,9 @@ class AuditReport:
 
     @property
     def violations(self) -> np.ndarray:
-        """Grid indices with a negative margin or an understated a_mu, sorted
-        and each once."""
-        flagged = self.margin < -VIOLATION_THRESHOLD
+        """Grid indices with a negative or NaN margin or an understated a_mu,
+        sorted and each once."""
+        flagged = ~(self.margin >= -VIOLATION_THRESHOLD)
         flagged[self.understated] = True
         return np.flatnonzero(flagged)
 
@@ -564,8 +564,9 @@ def bound_audit(
     The bound at time t is the certificate's: its exponent is
     ``certificate.growth``, the integral of a_mu over [0, t], and the
     distance d(A, B) is measured in H's own labels.  A margin below
-    -VIOLATION_THRESHOLD flags a violation: either an implementation bug or
-    an invalid certificate, since the bound is a theorem for valid ones.
+    -VIOLATION_THRESHOLD, or NaN, flags a violation: either an
+    implementation bug or an invalid certificate, since the bound is a
+    theorem for valid ones.
 
     The theorem's hypothesis is checked too: the grid points where the
     certificate's a_mu falls below H's locality load
@@ -605,7 +606,7 @@ def bound_audit(
     rhs = lr_bound_rhs(supp_a, supp_b, certificate.mu, certificate.growth)
 
     return AuditReport(
-        times=grid.points.copy(),
+        times=grid.points,
         lhs=lhs,
         rhs=rhs,
         margin=rhs - lhs,

@@ -25,7 +25,7 @@ from lrlab.adiabatic import (
     spectral_flow,
     wave_operator_errors,
 )
-from lrlab.blocks import Block, pairwise_decompose
+from lrlab.blocks import Block
 from lrlab.locality import (
     LocalityCertificate,
     a_mu_pointwise,
@@ -84,7 +84,7 @@ def ensemble():
         )
         H = ConstantHamiltonian(M)
         mu = mu_prime / 2.0
-        a = a_mu_pointwise(pairwise_decompose(M), mu)
+        a = a_mu_pointwise(M, mu)
         t_final = 5.0 / a
         grid = TimeGrid.uniform(t_final, 1001)
         cert = certify(H, mu, grid)
@@ -255,11 +255,11 @@ def test_criterion_4_closed_forms(ensemble):
 
     envelope_violations = 0
     for case in ensemble:
-        decomp = pairwise_decompose(case["matrix"])
         mu_prime = case["mu_prime"]
         for frac in (0.25, 0.5, 0.75):
             mu = frac * mu_prime
-            if a_mu_pointwise(decomp, mu) > exp_local_bound(1.0, mu_prime, mu) + 1e-12:
+            a = a_mu_pointwise(case["matrix"], mu)
+            if a > exp_local_bound(1.0, mu_prime, mu) + 1e-12:
                 envelope_violations += 1
     ok = lambert_ok and grid_ok and envelope_violations == 0
     report(
@@ -402,7 +402,7 @@ def test_criterion_8_locality_equivalence(ensemble, adiabatic_runs):
     probe_violations = 0
     for case in ensemble[:10]:
         M, mu, n = case["matrix"], case["mu"], case["n"]
-        a = a_mu_pointwise(pairwise_decompose(M), mu)
+        a = a_mu_pointwise(M, mu)
         for probe in probe_blocks(n, max_size=5, n_random=100, seed=case["seed"]):
             if brute_probe_sum(M, mu, probe) > len(probe) * a * (1 + 1e-12):
                 probe_violations += 1

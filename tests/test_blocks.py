@@ -5,17 +5,11 @@ from hypothesis import strategies as st
 
 from lrlab.blocks import Block, bandwidth, block_distance, pairwise_decompose
 from lrlab.errors import ValidationError
-from lrlab.models import build_example_ramp
+from lrlab.locality import a_mu_pointwise
 
 from _oracles import apply_permutation, random_hermitian
 
 label_sets = st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=8)
-
-
-def test_diameter_examples():
-    assert Block([5]).diameter == 0
-    assert Block([0, 3, 7]).diameter == 7
-    assert Block([2, 4]).diameter == 2
 
 
 def test_empty_block_rejected():
@@ -47,40 +41,29 @@ def test_block_distance_symmetric(a, b):
 
 @given(label_sets)
 def test_size_at_most_diameter_plus_one(labels):
+    """Labels are sorted and distinct, so a block fits in its label span."""
     b = Block(labels)
-    assert b.size <= b.diameter + 1
-    assert b.diameter >= 0
+    assert b.size <= b.labels[-1] - b.labels[0] + 1
+    assert list(b.labels) == sorted(set(labels))
 
 
 def test_pairwise_decompose_diagonal():
-    decomp = pairwise_decompose(np.diag([1.0, 2.0]))
-    assert decomp.dimension == 2
-    assert [b.labels for b, _ in decomp.terms] == [(0,), (1,)]
-    assert [entry for _, entry in decomp.terms] == [1.0, 2.0]
+    """A diagonal H has singleton terms only, so its load does not depend on
+    the rate: a_mu is its largest |H_ii|."""
+    H = pairwise_decompose(np.diag([1.0, 2.0]))
+    assert H.dtype == np.float64
+    np.testing.assert_array_equal(H, np.diag([1.0, 2.0]))
+    for mu in (0.1, 3.0):
+        assert a_mu_pointwise(H, mu) == 2.0
 
 
 def test_pairwise_decompose_single_coupling_norm():
+    """One pair term of norm 1/2 loads each of its two levels with
+    2 * 1/2 * e^(mu |0 - 1|)."""
     H = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    decomp = pairwise_decompose(H)
-    assert len(decomp.terms) == 1
-    block, norm = decomp.term_norms()[0]
-    assert block.labels == (0, 1)
-    assert norm == pytest.approx(0.5, abs=1e-15)
-
-
-def test_pairwise_decompose_example_ramp_endpoint():
-    # the level-0 diagonal entry is exactly zero, so it contributes no term:
-    # 10 singletons (levels 1..10) plus 10 nearest-neighbor pairs of norm 1/2
-    H_f = build_example_ramp(1.0).h_final
-    decomp = pairwise_decompose(H_f)
-    singles = [b for b, _ in decomp.terms if b.size == 1]
-    pairs = [(b, n) for b, n in decomp.term_norms() if b.size == 2]
-    assert len(singles) == 10
-    assert {b.labels[0] for b in singles} == set(range(1, 11))
-    assert len(pairs) == 10
-    for block, norm in pairs:
-        assert block.diameter == 1
-        assert norm == pytest.approx(0.5, abs=1e-15)
+    assert np.abs(pairwise_decompose(H)[0, 1]) == 0.5
+    for mu in (0.1, 3.0):
+        assert a_mu_pointwise(H, mu) == pytest.approx(np.exp(mu), rel=1e-15)
 
 
 def test_pairwise_decompose_rejects_non_hermitian():
@@ -99,23 +82,15 @@ def test_pairwise_decompose_rejects_a_non_square_matrix():
 
 
 def test_pairwise_roundtrip_random():
-    """Each term stores its block's entry of H; singletons and upper-triangle
-    pairs rebuild H, and every term has the norm |entry|."""
+    """The decomposition is H itself: its checked copy holds every entry of
+    H bit for bit and cannot be written."""
     rng = np.random.default_rng(7)
     for _ in range(100):
         n = int(rng.integers(2, 33))
         H = random_hermitian(rng, n)
-        decomp = pairwise_decompose(H)
-        assert decomp.dimension == n
-        rebuilt = np.zeros((n, n), dtype=complex)
-        for block, entry in decomp.terms:
-            i, j = block.labels[0], block.labels[-1]
-            assert entry == H[i, j]
-            rebuilt[i, j] = entry
-            rebuilt[j, i] = np.conj(entry)
-        np.testing.assert_array_equal(rebuilt, H)
-        for (block, norm), (_, entry) in zip(decomp.term_norms(), decomp.terms):
-            assert norm == abs(entry)
+        terms = pairwise_decompose(H)
+        np.testing.assert_array_equal(terms, H)
+        assert terms is not H and not terms.flags.writeable
 
 
 def test_apply_permutation_moves_entries():

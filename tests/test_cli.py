@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lrlab
@@ -48,6 +49,72 @@ def test_decompose(small_cfg_file, capsys):
     out = capsys.readouterr().out
     assert "dimension 11" in out
     assert "bandwidth: 1" in out
+
+
+def test_decompose_stdout_default(capsys):
+    """The bundled ramp at t = 0 is diagonal with H_00 = 0, so it has 10
+    singletons; at T it gains 10 nearest-neighbour pairs."""
+    assert main(["decompose"]) == 0
+    assert capsys.readouterr().out == (
+        "[t = 0] dimension 11\n"
+        "  terms: 10 (10 singletons, 0 pairs)\n"
+        "  max term norm: 1\n"
+        "  bandwidth: 0\n"
+        "[t = T = 12.5] dimension 11\n"
+        "  terms: 20 (10 singletons, 10 pairs)\n"
+        "  max term norm: 1\n"
+        "  bandwidth: 1\n"
+    )
+
+
+def _complex_entries(H):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(H, dtype=complex)]
+
+
+def test_decompose_stdout_inline_complex(tmp_path, capsys):
+    """A zero diagonal entry gives no singleton and an entry at or below
+    STRUCTURAL_ZERO no pair; the largest term may be a complex coupling,
+    whose norm is its modulus."""
+    h_i = np.array(
+        [
+            [0.0, 0.3 + 0.45j, 0.0, 0.25j],
+            [0.3 - 0.45j, 0.2, 1e-15, 0.0],
+            [0.0, 1e-15, -0.4, -0.35],
+            [-0.25j, 0.0, -0.35, 0.45],
+        ]
+    )
+    h_f = np.array(
+        [
+            [0.0, 0.0, 0.5 + 0.5j, 0.0],
+            [0.0, 0.0, 0.0, 0.7 - 0.6j],
+            [0.5 - 0.5j, 0.0, 0.9, 3e-15j],
+            [0.0, 0.7 + 0.6j, -3e-15j, -0.2],
+        ]
+    )
+    cfg = tmp_path / "inline.json"
+    spec = {"h_i": _complex_entries(h_i), "h_f": _complex_entries(h_f)}
+    cfg.write_text(json.dumps({"hamiltonian": spec, "T_values": [3.0]}))
+    assert main(["decompose", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == (
+        "[t = 0] dimension 4\n"
+        "  terms: 6 (3 singletons, 3 pairs)\n"
+        "  max term norm: 0.540833\n"
+        "  bandwidth: 3\n"
+        "[t = T = 3] dimension 4\n"
+        "  terms: 4 (2 singletons, 2 pairs)\n"
+        "  max term norm: 0.921954\n"
+        "  bandwidth: 2\n"
+    )
+
+
+def test_bound_check_refuses_a_rate_whose_load_overflows(capsys):
+    """At mu = 200 the bundled ramp's load overflows, so no bound can be
+    audited: bound-check exits 1 with an error line that names the rate."""
+    argv = ["bound-check", "--supp-a", "0", "--supp-b", "5", "--mu", "200"]
+    assert main(argv + ["--grid", "101"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a_mu is not finite at mu=200.0\n"
 
 
 def test_locality_with_mu(small_cfg_file, capsys):

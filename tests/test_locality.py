@@ -1,13 +1,13 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlab.blocks import pairwise_decompose
 from lrlab.errors import NumericalError, ValidationError
 from lrlab.locality import (
     LocalityCertificate,
@@ -48,20 +48,20 @@ E_HALF = np.exp(0.5)
 
 
 def test_a_mu_diagonal():
-    decomp = pairwise_decompose(np.diag([0.2, -0.9, 0.5]))
-    assert a_mu_pointwise(decomp, 1.3) == pytest.approx(0.9, abs=1e-14)
+    assert a_mu_pointwise(np.diag([0.2, -0.9, 0.5]), 1.3) == pytest.approx(
+        0.9, abs=1e-14
+    )
 
 
 def test_a_mu_zero_matrix():
-    assert a_mu_pointwise(pairwise_decompose(np.zeros((4, 4))), 0.7) == 0.0
+    assert a_mu_pointwise(np.zeros((4, 4)), 0.7) == 0.0
 
 
 def test_a_mu_example_ramp_endpoint():
     # brute-force oracle: the max load sits at level 9 (two neighbors), not
     # at level 10, giving 0.9 + 2 e^{1/2}
     H_f = build_example_ramp(1.0).h_final
-    decomp = pairwise_decompose(H_f)
-    got = a_mu_pointwise(decomp, 0.5)
+    got = a_mu_pointwise(H_f, 0.5)
     assert got == pytest.approx(brute_a_mu(H_f, 0.5), abs=1e-12)
     assert got == pytest.approx(0.9 + 2 * E_HALF, abs=1e-12)
 
@@ -72,31 +72,30 @@ def test_a_mu_matches_brute_force_on_random():
         spec = ExpLocalSpec(dimension=9, amplitude=1.0, decay_rate=1.5, seed=seed)
         M = random_exp_local(spec)
         mu = float(rng.uniform(0.1, 1.0))
-        assert a_mu_pointwise(pairwise_decompose(M), mu) == pytest.approx(
+        assert a_mu_pointwise(M, mu) == pytest.approx(
             brute_a_mu(M, mu), rel=1e-12
         )
 
 
 def test_a_mu_monotone_in_mu():
     M = random_exp_local(ExpLocalSpec(8, 1.0, 2.0, seed=1))
-    decomp = pairwise_decompose(M)
-    vals = [a_mu_pointwise(decomp, mu) for mu in np.linspace(0.1, 1.5, 20)]
+    vals = [a_mu_pointwise(M, mu) for mu in np.linspace(0.1, 1.5, 20)]
     assert np.all(np.diff(vals) >= 0)
 
 
 def test_a_mu_requires_positive_mu():
     with pytest.raises(ValidationError):
-        a_mu_pointwise(pairwise_decompose(np.eye(2)), 0.0)
+        a_mu_pointwise(np.eye(2), 0.0)
 
 
 def test_a_mu_of_dense_matrix_stays_small_in_memory():
-    """The decomposition keeps one d x d matrix and an entry per term, so a
-    dense d=200 matrix (20 100 terms) stays far below the 12.7 GB that one
-    dense d x d matrix per term would take."""
+    """The load is read from the d x d matrix alone, so a dense d=200 matrix
+    (20 100 terms) stays far below the 12.7 GB that one dense d x d matrix
+    per term would take."""
     M = random_hermitian(np.random.default_rng(1), 200)
     tracemalloc.start()
     try:
-        a = a_mu_pointwise(pairwise_decompose(M), 0.1)
+        a = a_mu_pointwise(M, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -109,7 +108,7 @@ def test_a_mu_of_dense_matrix_stays_small_in_memory():
 
 def test_singleton_probes_always_pass():
     M = random_exp_local(ExpLocalSpec(10, 1.0, 1.0, seed=4))
-    a = a_mu_pointwise(pairwise_decompose(M), 0.5)
+    a = a_mu_pointwise(M, 0.5)
     for i in range(10):
         assert brute_probe_sum(M, 0.5, [i]) <= a * (1 + 1e-12)
 
@@ -117,7 +116,7 @@ def test_singleton_probes_always_pass():
 def test_contiguous_probes_pass_and_match_enumeration():
     M = random_exp_local(ExpLocalSpec(8, 1.0, 1.7, seed=5))
     mu = 0.6
-    a = a_mu_pointwise(pairwise_decompose(M), mu)
+    a = a_mu_pointwise(M, mu)
     probes = [
         range(start, start + size)
         for size in range(1, 5)
@@ -131,7 +130,7 @@ def test_zero_bound_fails_on_nonzero_matrix():
     """Any a below the tightest constant fails a probe: a = 0 fails both
     singletons, and a just below a_mu fails the arg-max level."""
     M = np.diag([1.0, 2.0])
-    a = a_mu_pointwise(pairwise_decompose(M), 0.5)
+    a = a_mu_pointwise(M, 0.5)
     assert a == 2.0
     assert all(brute_probe_sum(M, 0.5, [i]) > 0.0 for i in (0, 1))
     assert brute_probe_sum(M, 0.5, [1]) > a * (1 - 1e-12)
@@ -143,7 +142,7 @@ def test_probe_equivalence_exhaustive():
     for seed, n in ((0, 8), (1, 12), (2, 16)):
         M = random_exp_local(ExpLocalSpec(n, 1.0, 1.3, seed=seed))
         mu = 0.65
-        a = a_mu_pointwise(pairwise_decompose(M), mu)
+        a = a_mu_pointwise(M, mu)
         for probe in probe_blocks(n, max_size=5, n_random=100, seed=seed):
             assert brute_probe_sum(M, mu, probe) <= len(probe) * a * (1 + 1e-12)
 
@@ -206,7 +205,7 @@ def test_certify_samples_match_pointwise_op():
     grid = TimeGrid.uniform(10.0, 6)
     cert = certify(H, 0.5, grid)
     for k, t in enumerate(grid.points):
-        direct = a_mu_pointwise(pairwise_decompose(H.evaluate(t)), 0.5)
+        direct = a_mu_pointwise(H.evaluate(t), 0.5)
         assert cert.a_mu_samples[k] == pytest.approx(direct, rel=1e-12)
 
 
@@ -217,7 +216,7 @@ def test_pointwise_and_certified_loads_share_one_kernel():
     for seed in range(5):
         M = random_exp_local(ExpLocalSpec(6 + seed, 1.0, 1.2, seed=seed))
         cert = certify(ConstantHamiltonian(M), 0.4, grid)
-        a = a_mu_pointwise(pairwise_decompose(M), 0.4)
+        a = a_mu_pointwise(M, 0.4)
         assert np.all(cert.a_mu_samples == a)
 
 
@@ -371,7 +370,46 @@ def test_certify_refuses_a_rate_that_is_not_positive_and_finite(mu):
     with pytest.raises(ValidationError, match="mu must be positive and finite"):
         certify(H, mu, TimeGrid.uniform(1.0, 5))
     with pytest.raises(ValidationError, match="mu must be positive and finite"):
-        a_mu_pointwise(pairwise_decompose(H.matrix), mu)
+        a_mu_pointwise(H.matrix, mu)
+    with pytest.raises(ValidationError, match="mu must be positive and finite"):
+        LocalityCertificate(mu, TimeGrid.uniform(1.0, 5), np.ones(5))
+
+
+def test_certificate_refuses_samples_that_are_not_finite():
+    """A NaN or infinite a_mu bounds nothing: its growth and speeds would be
+    NaN or inf, and understated could not flag it."""
+    grid = TimeGrid.uniform(1.0, 5)
+    for bad in (np.nan, np.inf):
+        samples = np.ones(5)
+        samples[2] = bad
+        with pytest.raises(ValidationError, match="a_mu is not finite at mu=0.5"):
+            LocalityCertificate(0.5, grid, samples)
+
+
+def test_a_rate_whose_load_overflows_is_refused_by_name():
+    """At mu = 200 a 12-level envelope matrix's e^(mu |i - j|) overflows:
+    certify and a_mu_pointwise refuse the rate with no numpy warning."""
+    M = random_exp_local(ExpLocalSpec(12, 1.0, 1.0, seed=0))
+    grid = TimeGrid.uniform(1.0, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="a_mu is not finite at mu=200.0"):
+            certify(ConstantHamiltonian(M), 200.0, grid)
+        with pytest.raises(ValidationError, match="a_mu is not finite at mu=200.0"):
+            a_mu_pointwise(M, 200.0)
+        # the largest weight, e^(mu 11), stays finite just below the edge
+        assert np.isfinite(certify(ConstantHamiltonian(M), 64.0, grid).a_mu_max)
+
+
+def test_understated_flags_a_load_that_overflows():
+    """A certificate of a 2-level H at mu = 100 is finite, but a 12-level H's
+    load overflows there: every grid point is flagged, with no warning."""
+    grid = TimeGrid.uniform(1.0, 6)
+    cert = certify(ConstantHamiltonian(np.eye(2)), 100.0, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (np.eye(12), random_exp_local(ExpLocalSpec(12, 1.0, 1.0, seed=0))):
+            assert cert.understated(ConstantHamiltonian(M)).tolist() == list(range(6))
 
 
 # -- closed forms ----------------------------------------------------------
@@ -410,9 +448,8 @@ def test_exp_local_bound_dominates_actual_loads():
     for seed in range(12):
         mu_p = 1.0 + 0.2 * seed
         M = random_exp_local(ExpLocalSpec(10, 1.0, mu_p, seed=seed))
-        decomp = pairwise_decompose(M)
         for mu in np.linspace(0.05, mu_p * 0.95, 8):
-            assert a_mu_pointwise(decomp, mu) <= exp_local_bound(1.0, mu_p, mu) + 1e-12
+            assert a_mu_pointwise(M, mu) <= exp_local_bound(1.0, mu_p, mu) + 1e-12
 
 
 def test_optimal_mu_closed_form():
@@ -572,3 +609,13 @@ def test_optimizer_range_validation():
         optimize_mu_generic(H, TimeGrid.uniform(1.0, 3), (0.0, 1.0))
     with pytest.raises(ValidationError):
         optimize_mu_generic(H, TimeGrid.uniform(1.0, 3), (2.0, 1.0))
+
+
+def test_optimizer_refuses_an_infinite_upper_rate_by_name():
+    """An infinite hi is refused before the scan, with no numpy warning."""
+    H = ConstantHamiltonian(random_exp_local(ExpLocalSpec(6, 1.0, 1.0, seed=0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = r"need 0 < lo < hi < inf, got \(0.1, inf\)"
+        with pytest.raises(ValidationError, match=message):
+            optimize_mu_generic(H, TimeGrid.uniform(1.0, 11), (0.1, np.inf))

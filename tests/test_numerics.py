@@ -36,6 +36,17 @@ def test_grid_validation():
             TimeGrid.uniform(t_final, 5)
 
 
+def test_grid_keeps_a_read_only_copy_of_its_points():
+    """A later write to the caller's array cannot reach the grid, which
+    every certificate and propagator built on it reads."""
+    pts = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    grid = TimeGrid(pts)
+    pts[2] = 0.9
+    np.testing.assert_array_equal(grid.points, [0.0, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(ValueError):
+        grid.points[2] = 0.9
+
+
 def test_grid_uniform():
     g = TimeGrid.uniform(2.0, 5)
     np.testing.assert_allclose(g.points, [0.0, 0.5, 1.0, 1.5, 2.0])

@@ -894,6 +894,22 @@ def test_audit_checks_the_locality_hypothesis():
     assert overlap.violations.tolist() == [3, 7, 9]
 
 
+def test_a_nan_margin_is_a_violation():
+    """A NaN margin shows nothing about the bound, so it is flagged rather
+    than passed."""
+    margin = np.zeros(5)
+    margin[[1, 3]] = np.nan
+    report = AuditReport(
+        times=np.arange(5.0),
+        lhs=np.zeros(5),
+        rhs=margin,
+        margin=margin,
+        understated=np.array([], dtype=int),
+    )
+    assert report.violations.tolist() == [1, 3]
+    assert report.has_violations
+
+
 def test_audit_judges_a_certificate_of_another_h_by_the_audited_load():
     """A certificate holds mu, the grid and a_mu(t), nothing of the H it was
     made from: audited against another H, of any dimension, it is flagged
