@@ -89,6 +89,18 @@ ROWS = [
     ),
     (
         PROP,
+        "if mu * d > 700.0:",
+        "if mu * d > 800.0:",
+        "the bound reads 0 * inf = NaN where e^(-mu d) underflows",
+    ),
+    (
+        PROP,
+        "return float(self.margin[1:].min())",
+        "return float(self.margin.min())",
+        "min_margin reads t = 0, where every passing audit's margin is 0",
+    ),
+    (
+        PROP,
         "phases = np.exp(-1j * np.outer(grid.points, w))",
         "phases = np.exp(1j * np.outer(grid.points, w))",
         "the closed form evolves by e^(+iHt), backwards in time",
@@ -119,6 +131,18 @@ ROWS = [
     ),
     (
         LOC,
+        "np.minimum(dist, dist[W.any(axis=0)].max(initial=0))",
+        "dist",
+        "a zero entry meets an infinite weight, so a banded load reads NaN",
+    ),
+    (
+        LOC,
+        "while (b - a) > _GOLDEN_RTOL * b:",
+        "while (b - a) > _GOLDEN_RTOL * max(1.0, b):",
+        "the rate search stops at an absolute width below mu = 1",
+    ),
+    (
+        LOC,
         "loads = diag + 2.0 * np.einsum(",
         "loads = diag + 1.0 * np.einsum(",
         "a pair term loads each of its levels once, not twice",
@@ -134,6 +158,12 @@ ROWS = [
         "seg *= 0.5 * np.diff(",
         "seg *= np.diff(",
         "the running trapezoid drops its 0.5 weight",
+    ),
+    (
+        "src/lrlab/svgplot.py",
+        "if hi - lo < 1e-12:",
+        "if hi - lo < 0.0:",
+        "a flat axis is not widened, so a lone point divides by zero",
     ),
     (
         "src/lrlab/experiment.py",

@@ -35,11 +35,5 @@ class GapClosureError(NumericalError):
 
 
 class InsufficientCrossingsError(NumericalError):
-    """Fewer than two levels crossed the amplitude threshold.
-
-    Carries the partial crossing data so callers can inspect what was found.
-    """
-
-    def __init__(self, message: str, crossings: dict[int, float] | None = None):
-        super().__init__(message)
-        self.crossings = dict(crossings or {})
+    """Fewer than two levels crossed the amplitude threshold, or all their
+    crossing times coincide; the message says which."""

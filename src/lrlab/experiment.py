@@ -224,8 +224,7 @@ def empirical_v_lr(
     if len(crossings) < 2:
         raise InsufficientCrossingsError(
             f"only {len(crossings)} level(s) crossed the threshold "
-            f"{threshold} within [0, {T}]",
-            crossings=crossings,
+            f"{threshold} within [0, {T}]"
         )
 
     ks = np.array(sorted(crossings))
@@ -233,8 +232,7 @@ def empirical_v_lr(
     t_var = np.sum((ts - ts.mean()) ** 2)
     if t_var <= 0:
         raise InsufficientCrossingsError(
-            "all crossing times coincide; cannot fit a speed",
-            crossings=crossings,
+            "all crossing times coincide; cannot fit a speed"
         )
     slope = float(np.sum((ts - ts.mean()) * (ks - ks.mean())) / t_var)
 

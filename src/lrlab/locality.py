@@ -12,13 +12,15 @@ exponential envelope |H_ij| <= h exp(-mu' |i-j|) there is a closed-form
 bound 4h / (1 - exp(mu - mu')) and an optimal rate w(e^(1+mu')) - 1 in
 terms of the product logarithm w.
 
-``_a_mu`` takes a_mu at one rate from the |H| stack, ``_scan_v_lr`` at many
-rates for ``optimize_mu_generic``; ``numerics.running_trapezoid`` integrates
-it for the bound's exponent, <a_mu>_t and every v_lr of the rate search.
+``_a_mu`` takes a_mu at one rate from the |H| stack and its level-distance
+table, ``_scan_v_lr`` at many rates for ``optimize_mu_generic``;
+``numerics.running_trapezoid`` integrates it for the bound's exponent,
+<a_mu>_t and every v_lr of the rate search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,18 +120,35 @@ class LocalityCertificate:
         }
 
 
-def _abs_offdiag_and_diag(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _level_distances(d: int) -> np.ndarray:
+    """The read-only table |i - j| of d levels, built once per dimension:
+    ``bound_audit`` takes H's load, and so a new |H| stack, for every
+    support pair."""
+    idx = np.arange(d)
+    dist = np.abs(idx[:, None] - idx)
+    dist.setflags(write=False)
+    return dist
+
+
+def _abs_offdiag_and_diag(H: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(diag, off, dist) of a (times, d, d) stack of |H|: the diagonal, the
+    off-diagonal part and the level distances |i - j|, clipped at the widest
+    |i - j| of a nonzero entry anywhere in the stack.  Beyond that the
+    weight e^(mu |i - j|) meets only zeros, so the clip changes no finite
+    load and keeps 0 * inf = NaN out of a load that is finite."""
     W = np.abs(np.asarray(H))
     W[W <= STRUCTURAL_ZERO] = 0.0
     diag = np.diagonal(W, axis1=-2, axis2=-1).copy()
     idx = np.arange(W.shape[-1])
     W[..., idx, idx] = 0.0
-    return diag, W
+    dist = _level_distances(W.shape[-1])
+    return diag, W, np.minimum(dist, dist[W.any(axis=0)].max(initial=0))
 
 
 def _a_mu(stack, mu: float) -> np.ndarray:
-    """a_mu at rate mu for each matrix of a (diag, off) stack of |H|, as
-    from ``_abs_offdiag_and_diag``.
+    """a_mu at rate mu for each matrix of a (diag, off, dist) stack of |H|,
+    as from ``_abs_offdiag_and_diag``.
 
     Pairwise terms contribute 2 |H_ij| e^(mu |i - j|) to both levels of the
     pair and singleton terms |H_ii| to their level, so level i carries
@@ -137,28 +156,24 @@ def _a_mu(stack, mu: float) -> np.ndarray:
     levels.  A load that overflows reads inf or NaN, with no warning; the
     callers refuse it.
     """
-    diag, off = stack
-    d = off.shape[-1]
-    dist = np.abs(np.arange(d)[:, None] - np.arange(d))
+    diag, off, dist = stack
     with np.errstate(over="ignore", invalid="ignore"):
         loads = diag + 2.0 * np.einsum("tij,ij->ti", off, np.exp(mu * dist))
     return loads.max(axis=1, initial=0.0)
 
 
 def _scan_v_lr(stack, mus, grid: TimeGrid) -> np.ndarray:
-    """v_lr at each rate of mus from a (diag, off) stack of |H|, as a
+    """v_lr at each rate of mus from a (diag, off, dist) stack of |H|, as a
     certificate reads it from ``_a_mu``'s samples: each level's
     (times, len(mus)) load is one product with the weights e^(mu |i - j|)
     at every rate, and a running maximum over levels gives a_mu.  A rate
     whose load overflows reads inf, with no warning."""
-    diag, off = stack
-    d = off.shape[-1]
-    dist = np.abs(np.arange(d)[:, None] - np.arange(d))
+    diag, off, dist = stack
     a_mu = np.zeros((off.shape[0], len(mus)))
     loads = np.empty_like(a_mu)
     # overflow to inf (and inf * 0) is deliberate; callers check for it
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(d):
+        for i in range(off.shape[-1]):
             np.matmul(off[:, i, :], np.exp(dist[i][:, None] * mus), out=loads)
             loads *= 2.0
             loads += diag[:, i, None]
@@ -180,9 +195,9 @@ def a_mu_pointwise(H: np.ndarray, mu: float) -> float:
 
 def _abs_stack(
     H: TimeDependentHamiltonian, grid: TimeGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, off) of |H| on the grid, as from ``_abs_offdiag_and_diag``: the
-    evaluated (times, d, d) stack, or, for a ConstantHamiltonian, its one
+) -> tuple[np.ndarray, ...]:
+    """(diag, off, dist) of |H| on the grid, as from ``_abs_offdiag_and_diag``:
+    the evaluated (times, d, d) stack, or, for a ConstantHamiltonian, its one
     matrix as a (1, d, d) stack.  a_mu taken from it broadcasts over the
     grid either way."""
     if isinstance(H, ConstantHamiltonian):
@@ -191,7 +206,8 @@ def _abs_stack(
 
 
 def _certificate(stack, mu: float, grid: TimeGrid) -> LocalityCertificate:
-    """The certificate at mu from a (diag, off) stack of |H| on the grid."""
+    """The certificate at mu from a (diag, off, dist) stack of |H| on the
+    grid."""
     samples = np.broadcast_to(_a_mu(stack, mu), grid.points.shape)
     return LocalityCertificate(float(mu), grid, samples)
 
@@ -273,7 +289,7 @@ def optimize_mu_generic(
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = v_of_mu(c), v_of_mu(d)
-    while (b - a) > _GOLDEN_RTOL * max(1.0, abs(b)):
+    while (b - a) > _GOLDEN_RTOL * b:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

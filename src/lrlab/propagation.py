@@ -482,12 +482,18 @@ def lr_bound_rhs(
     supp_b, such as the projectors onto them.
 
     growth is the exponent integral of a_mu over [0, t] (<a_mu>_t t), a
-    scalar or an array of them.
+    scalar or an array of them.  Past mu d = 700, e^(-mu d) loses its
+    precision and then underflows to 0, where 0 * inf would read NaN; there
+    e^(growth - mu d) gives the bound to within e^(-mu d), and inf past the
+    float range.
     """
     if supp_a.intersects(supp_b):
         raise ValidationError("supports must be disjoint")
     d = block_distance(supp_a, supp_b)
     prefactor = 2.0 * min(supp_a.size, supp_b.size)
+    if mu * d > 700.0:
+        with np.errstate(over="ignore"):
+            return prefactor * np.exp(growth - mu * d)
     return prefactor * np.exp(-mu * d) * np.expm1(growth)
 
 
@@ -519,7 +525,9 @@ class AuditReport:
 
     @property
     def min_margin(self) -> float:
-        return float(self.margin.min())
+        """The least margin over t > 0: at t = 0, the grid's first point,
+        lhs and rhs are both exactly 0."""
+        return float(self.margin[1:].min())
 
     @property
     def has_violations(self) -> bool:

@@ -10,16 +10,22 @@ import numpy as np
 
 _WIDTH, _HEIGHT = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLOR = "#1f77b4"
 
 
 def _transform(values: np.ndarray, log: bool) -> np.ndarray:
-    if log:
-        vals = np.asarray(values, dtype=float)
-        if np.any(vals <= 0):
-            raise ValueError("log-scale plots require positive data")
-        return np.log10(vals)
-    return np.asarray(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if log and np.any(vals <= 0):
+        raise ValueError("log-scale plots require positive data")
+    return np.log10(vals) if log else vals
+
+
+def _span(t: np.ndarray) -> tuple[float, float]:
+    """The axis range of the data, widened by 0.5 each way when flat."""
+    lo, hi = float(t.min()), float(t.max())
+    if hi - lo < 1e-12:
+        return lo - 0.5, hi + 0.5
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[tuple[float, str]]:
@@ -30,27 +36,27 @@ def _ticks(lo: float, hi: float, log: bool) -> list[tuple[float, str]]:
     return [(float(v), f"{v:.3g}") for v in ticks]
 
 
+def _text(x, y, size: int, anchor: str, body: str, extra: str = "") -> str:
+    return (
+        f'<text x="{x}" y="{y}" font-size="{size}" '
+        f'text-anchor="{anchor}"{extra}>{body}</text>'
+    )
+
+
 def line_plot(
     path,
     series: list[tuple[np.ndarray, np.ndarray, str]],
-    xlabel: str = "",
-    ylabel: str = "",
-    title: str = "",
+    xlabel: str,
+    ylabel: str,
+    title: str,
     logx: bool = False,
     logy: bool = False,
 ) -> None:
-    """Write a line+marker plot; series is a list of (xs, ys, label)."""
-    txs = [_transform(xs, logx) for xs, _, _ in series]
-    tys = [_transform(ys, logy) for _, ys, _ in series]
-    xlo = min(float(t.min()) for t in txs)
-    xhi = max(float(t.max()) for t in txs)
-    ylo = min(float(t.min()) for t in tys)
-    yhi = max(float(t.max()) for t in tys)
-    if xhi - xlo < 1e-12:
-        xlo, xhi = xlo - 0.5, xhi + 0.5
-    if yhi - ylo < 1e-12:
-        ylo, yhi = ylo - 0.5, yhi + 0.5
-
+    """Write a line+marker plot of series, a list of one (xs, ys, label);
+    the label is the legend."""
+    ((xs, ys, label),) = series
+    tx, ty = _transform(xs, logx), _transform(ys, logy)
+    (xlo, xhi), (ylo, yhi) = _span(tx), _span(ty)
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
 
@@ -68,60 +74,34 @@ def line_plot(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" '
         'fill="none" stroke="black"/>',
     ]
-    for xv, label in _ticks(xlo, xhi, logx):
+    for xv, tick in _ticks(xlo, xhi, logx):
         x = px(xv)
         lines.append(
             f'<line x1="{x:.2f}" y1="{_HEIGHT - _MB}" x2="{x:.2f}" '
             f'y2="{_HEIGHT - _MB + 5}" stroke="black"/>'
         )
-        lines.append(
-            f'<text x="{x:.2f}" y="{_HEIGHT - _MB + 18}" font-size="11" '
-            f'text-anchor="middle">{label}</text>'
-        )
-    for yv, label in _ticks(ylo, yhi, logy):
+        lines.append(_text(f"{x:.2f}", _HEIGHT - _MB + 18, 11, "middle", tick))
+    for yv, tick in _ticks(ylo, yhi, logy):
         y = py(yv)
         lines.append(
             f'<line x1="{_ML - 5}" y1="{y:.2f}" x2="{_ML}" y2="{y:.2f}" '
             'stroke="black"/>'
         )
-        lines.append(
-            f'<text x="{_ML - 8}" y="{y + 4:.2f}" font-size="11" '
-            f'text-anchor="end">{label}</text>'
-        )
-    for k, ((xs, ys, label), tx, ty) in enumerate(zip(series, txs, tys)):
-        color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(tx, ty))
-        lines.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
-        for a, b in zip(tx, ty):
-            lines.append(
-                f'<circle cx="{px(a):.2f}" cy="{py(b):.2f}" r="3" '
-                f'fill="{color}"/>'
-            )
-        if label:
-            lines.append(
-                f'<text x="{_WIDTH - _MR - 5}" y="{_MT + 15 + 14 * k}" '
-                f'font-size="11" text-anchor="end" fill="{color}">'
-                f"{label}</text>"
-            )
-    if title:
-        lines.append(
-            f'<text x="{_WIDTH / 2:.2f}" y="20" font-size="14" '
-            f'text-anchor="middle">{title}</text>'
-        )
-    if xlabel:
-        lines.append(
-            f'<text x="{_ML + pw / 2:.2f}" y="{_HEIGHT - 12}" font-size="12" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        lines.append(
-            f'<text x="16" y="{_MT + ph / 2:.2f}" font-size="12" '
-            f'text-anchor="middle" transform="rotate(-90 16 '
-            f'{_MT + ph / 2:.2f})">{ylabel}</text>'
-        )
-    lines.append("</svg>")
+        lines.append(_text(_ML - 8, f"{y + 4:.2f}", 11, "end", tick))
+    pts = [f"{a:.2f},{b:.2f}" for a, b in zip(px(tx), py(ty))]
+    lines.append(
+        f'<polyline points="{" ".join(pts)}" fill="none" stroke="{_COLOR}" '
+        'stroke-width="1.5"/>'
+    )
+    for a, b in zip(px(tx), py(ty)):
+        lines.append(f'<circle cx="{a:.2f}" cy="{b:.2f}" r="3" fill="{_COLOR}"/>')
+    mid = f"{_MT + ph / 2:.2f}"
+    lines += [
+        _text(_WIDTH - _MR - 5, _MT + 15, 11, "end", label, f' fill="{_COLOR}"'),
+        _text(f"{_WIDTH / 2:.2f}", 20, 14, "middle", title),
+        _text(f"{_ML + pw / 2:.2f}", _HEIGHT - 12, 12, "middle", xlabel),
+        _text(16, mid, 12, "middle", ylabel, f' transform="rotate(-90 16 {mid})"'),
+        "</svg>",
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,13 +109,27 @@ def test_decompose_stdout_inline_complex(tmp_path, capsys):
 
 
 def test_bound_check_refuses_a_rate_whose_load_overflows(capsys):
-    """At mu = 200 the bundled ramp's load overflows, so no bound can be
-    audited: bound-check exits 1 with an error line that names the rate."""
-    argv = ["bound-check", "--supp-a", "0", "--supp-b", "5", "--mu", "200"]
+    """At mu = 800 the bundled ramp's load 2 |h| e^mu overflows, so no bound
+    can be audited: bound-check exits 1 with an error line that names the
+    rate."""
+    argv = ["bound-check", "--supp-a", "0", "--supp-b", "5", "--mu", "800"]
     assert main(argv + ["--grid", "101"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: a_mu is not finite at mu=200.0\n"
+    assert captured.err == "error: a_mu is not finite at mu=800.0\n"
+
+
+def test_bound_check_at_a_rate_whose_bound_leaves_the_float_range(capsys):
+    """At mu = 200 the ramp's load is finite, since it couples neighbours
+    only, but its bound overflows for t > 0: the audit passes with an
+    infinite margin and no numpy warning."""
+    argv = ["bound-check", "--supp-a", "0", "--supp-b", "5", "--mu", "200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--grid", "101"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["violations"] == 0
+    assert summary["min_margin"] == np.inf
 
 
 def test_locality_with_mu(small_cfg_file, capsys):

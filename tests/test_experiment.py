@@ -175,9 +175,9 @@ def crossing_speed(H, T, grid, tol, fixed_basis=False):
 def test_constant_diagonal_never_crosses():
     H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2, 0.3]))
     grid = TimeGrid.uniform(5.0, 101)
-    with pytest.raises(InsufficientCrossingsError) as err:
+    message = r"only 0 level\(s\) crossed the threshold 0.0006 within \[0, 5.0\]"
+    with pytest.raises(InsufficientCrossingsError, match=message):
         crossing_speed(H, 5.0, grid, 1e-9)
-    assert err.value.crossings == {}
 
 
 def test_crossing_times_monotone_in_level():

@@ -402,14 +402,34 @@ def test_a_rate_whose_load_overflows_is_refused_by_name():
 
 
 def test_understated_flags_a_load_that_overflows():
-    """A certificate of a 2-level H at mu = 100 is finite, but a 12-level H's
-    load overflows there: every grid point is flagged, with no warning."""
+    """A certificate of a 2-level H at mu = 100 is finite, and so is the load
+    of the 12-level identity, but a dense 12-level H's load overflows there:
+    every grid point is flagged, with no warning."""
     grid = TimeGrid.uniform(1.0, 6)
     cert = certify(ConstantHamiltonian(np.eye(2)), 100.0, grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for M in (np.eye(12), random_exp_local(ExpLocalSpec(12, 1.0, 1.0, seed=0))):
-            assert cert.understated(ConstantHamiltonian(M)).tolist() == list(range(6))
+        assert cert.understated(ConstantHamiltonian(np.eye(12))).tolist() == []
+        M = random_exp_local(ExpLocalSpec(12, 1.0, 1.0, seed=0))
+        assert cert.understated(ConstantHamiltonian(M)).tolist() == list(range(6))
+
+
+def test_a_banded_load_is_finite_where_its_own_weights_are():
+    """The distance table is clipped at the widest nonzero entry, so a zero
+    entry never meets an infinite weight: at mu = 100 the 12-level identity
+    loads 1 and a tridiagonal H loads 2 |h| e^100 plus its diagonal, where
+    e^(100 * 11) overflows.  Without the clip both read NaN and are refused."""
+    grid = TimeGrid.uniform(1.0, 6)
+    tri = np.diag(np.full(11, 0.5), 1)
+    tri = tri + tri.T + np.diag(np.linspace(0.0, 1.0, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certify(ConstantHamiltonian(np.eye(12)), 100.0, grid).a_mu_max == 1.0
+        assert a_mu_pointwise(tri, 100.0) == pytest.approx(
+            brute_a_mu(tri, 100.0), rel=1e-14
+        )
+        _, _, dist = _abs_offdiag_and_diag(tri[None])
+        assert dist.max() == 1
 
 
 # -- closed forms ----------------------------------------------------------
@@ -593,6 +613,20 @@ def test_optimizer_monotone_case_returns_hi():
     mu_opt, cert = optimize_mu_generic(H, TimeGrid.uniform(1.0, 11), (0.5, 2.0))
     assert mu_opt == pytest.approx(2.0, rel=1e-4)
     assert cert.v_lr == pytest.approx(1.1 / mu_opt, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_optimizer_stops_at_a_relative_width_below_1(k):
+    """One coupling h at distance k loads its two levels with 2h e^(k mu), so
+    v_lr = 2h e^(k mu) / mu is least at mu = 1/k.  The golden section stops
+    when its bracket is narrower than _GOLDEN_RTOL = 1e-6 of its upper end,
+    so the midpoint it returns lies within 5e-7 of 1/k, relative; a width of
+    1e-6 absolute leaves 1.9e-6 relative at these rates."""
+    M = np.zeros((k + 1, k + 1))
+    M[0, k] = M[k, 0] = 0.25
+    grid = TimeGrid.uniform(1.0, 11)
+    mu, _ = optimize_mu_generic(ConstantHamiltonian(M), grid, (0.05, 5.0))
+    assert abs(mu * k - 1.0) <= 5e-7
 
 
 def test_optimizer_nonfinite_range_raises():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -771,6 +772,19 @@ def test_lr_bound_rhs_prefactor_is_the_smaller_support():
     assert lr_bound_rhs(Block([5, 6, 7]), Block([0, 1]), mu, growth) == 4.0 * tail
 
 
+def test_lr_bound_rhs_past_the_underflow_of_its_weight():
+    """At mu d = 750, e^(-mu d) underflows to 0 and e^growth overflows, so
+    their product would read NaN; the bound is e^(growth - mu d), and inf
+    past the float range, with no warning."""
+    growth = np.array([0.0, 760.0, 800.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rhs = lr_bound_rhs(Block([0]), Block([5]), 150.0, growth)
+    assert rhs[0] == 0.0
+    np.testing.assert_allclose(rhs[1:3], 2.0 * np.exp([10.0, 50.0]), rtol=1e-14)
+    assert rhs[3] == np.inf
+
+
 def test_lr_bound_rhs_overlap_rejected():
     with pytest.raises(ValidationError):
         lr_bound_rhs(Block([0, 1]), Block([1, 2]), 0.5, 1.0 * 1.0)
@@ -1079,6 +1093,20 @@ def test_audit_identical_supports_rejected():
         bound_audit(H, Block([1, 2]), Block([2, 3]), cert, prop)
     with pytest.raises(ValidationError, match="support labels exceed"):
         bound_audit(H, Block([11]), Block([2]), cert, prop)
+
+
+def test_min_margin_reads_the_times_after_0():
+    """At t = 0 lhs and rhs are both exactly 0, so a margin read there would
+    make every passing audit report 0."""
+    H = build_example_ramp(12.5)
+    grid = TimeGrid.uniform(12.5, 401)
+    cert = certify(H, 1.257, grid)
+    report = bound_audit(
+        H, Block([0]), Block([5, 6]), cert, evolve_on_grid(H, grid, 1e-11)
+    )
+    assert report.margin[0] == 0.0
+    assert report.min_margin == report.margin[1:].min()
+    assert report.min_margin > 1e-5
 
 
 def test_audit_report_serialization(tmp_path):
