@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PROP = "src/lrlab/propagation.py"
 ADIA = "src/lrlab/adiabatic.py"
 LOC = "src/lrlab/locality.py"
+EXP = "src/lrlab/experiment.py"
 TIMEOUT = 600.0  # seconds per row
 
 # (file, exact old text, new text, what the change breaks)
@@ -89,8 +90,8 @@ ROWS = [
     ),
     (
         PROP,
-        "if mu * d > 700.0:",
-        "if mu * d > 800.0:",
+        "rhs = np.exp(growth - mu * d)",
+        "rhs = np.exp(-mu * d) * np.exp(growth)",
         "the bound reads 0 * inf = NaN where e^(-mu d) underflows",
     ),
     (
@@ -166,10 +167,23 @@ ROWS = [
         "a flat axis is not widened, so a lone point divides by zero",
     ),
     (
-        "src/lrlab/experiment.py",
-        "crossings[k] = float(pts[j - 1] + frac * (pts[j] - pts[j - 1]))",
-        "crossings[k] = float(pts[j])",
+        EXP,
+        "ts[later] = pts[j - 1] + (threshold - a0) / (a1 - a0) * (pts[j] - pts[j - 1])",
+        "ts[later] = pts[j]",
         "a threshold crossing is read at the grid point, not interpolated",
+    ),
+    (
+        EXP,
+        "later = j > 0",
+        "later = j >= 0",
+        "a level above the threshold at the first point is interpolated "
+        "against the last point",
+    ),
+    (
+        EXP,
+        "keep = ts[j] != ts[i]",
+        "keep = ts[j] == ts[j]",
+        "a pair of equal crossing times divides by zero into an infinite speed",
     ),
     (
         ADIA,

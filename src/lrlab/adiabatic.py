@@ -309,17 +309,8 @@ class ConditionReport:
     mu: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "hdiff_gap_ratio": self.hdiff_gap_ratio,
-            "hdot_gap_ratio": self.hdot_gap_ratio,
-            "vlr_gap_ratio": self.vlr_gap_ratio,
-            "chain_block_term": self.chain_block_term,
-            "chain_norm_term": self.chain_norm_term,
-            "epsilon_scale": self.epsilon_scale,
-            "gap_min": self.gap_min,
-            "ground_dim": self.ground_dim,
-            "mu": self.mu,
-        }
+        """The scalar fields by name; the per-time arrays are left out."""
+        return {k: v for k, v in vars(self).items() if np.ndim(v) == 0}
 
 
 def condition_report(

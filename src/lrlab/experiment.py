@@ -6,7 +6,10 @@ text comes from the numerics writers, so it matches every other artefact.
 The empirical speed follows the level-crossing construction: evolve the
 initial ground state, record for each level k the first time the
 instantaneous-eigenbasis amplitude |<E_k(t)| U(t,0) |G(0)>| exceeds a
-threshold, and fit levels against crossing times.
+threshold, interpolated between grid points, and fit levels against
+crossing times.  The crossings stay two arrays, the levels and their times,
+from the read-out to the fit and the pairwise speeds.  Each total time of
+the sweep has one outcome: its record, or the error that stopped it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -155,23 +158,30 @@ class EmpiricalSpeed:
 
 def _first_crossings(
     amps: np.ndarray, pts: np.ndarray, threshold: float
-) -> dict[int, float]:
-    """First threshold crossing per level (k >= 1), linearly interpolated
-    between the bracketing grid points."""
-    crossings: dict[int, float] = {}
-    n_levels = amps.shape[1]
-    for k in range(1, n_levels):
-        above = np.nonzero(amps[:, k] > threshold)[0]
-        if above.size == 0:
-            continue
-        j = int(above[0])
-        if j == 0:
-            crossings[k] = float(pts[0])
-            continue
-        a0, a1 = amps[j - 1, k], amps[j, k]
-        frac = (threshold - a0) / (a1 - a0)
-        crossings[k] = float(pts[j - 1] + frac * (pts[j] - pts[j - 1]))
-    return crossings
+) -> tuple[np.ndarray, np.ndarray]:
+    """The levels k >= 1 whose amplitude exceeds the threshold at some grid
+    point, in ascending order, and the time of each one's first crossing,
+    linearly interpolated between the bracketing grid points.  A level
+    above the threshold at the first point crosses at pts[0]."""
+    above = amps[:, 1:] > threshold
+    ks = np.flatnonzero(above.any(axis=0)) + 1
+    j = above[:, ks - 1].argmax(axis=0)  # first point above, per level
+    ts = pts[j]  # a copy; a level above at the first point keeps pts[0]
+    later = j > 0
+    j, k = j[later], ks[later]
+    a0, a1 = amps[j - 1, k], amps[j, k]
+    ts[later] = pts[j - 1] + (threshold - a0) / (a1 - a0) * (pts[j] - pts[j - 1])
+    return ks, ts
+
+
+def _pairwise_speeds(ks: np.ndarray, ts: np.ndarray) -> list[tuple[int, int, float]]:
+    """(k1, k2, (k2 - k1) / (t2 - t1)) for every pair of crossings k1 < k2
+    whose times differ, in the order of k1, then k2."""
+    i, j = np.triu_indices(ks.size, 1)
+    keep = ts[j] != ts[i]
+    i, j = i[keep], j[keep]
+    speeds = (ks[j] - ks[i]) / (ts[j] - ts[i])
+    return [(int(a), int(b), float(v)) for a, b, v in zip(ks[i], ks[j], speeds)]
 
 
 def empirical_v_lr(
@@ -187,22 +197,21 @@ def empirical_v_lr(
     """LR speed from amplitude threshold crossings, read off the flow's
     eigenframes and the propagator, both on the grid.
 
-    For each level k >= 1 the first grid time where the eigenbasis amplitude
-    from the initial ground state exceeds the threshold is located; the
-    headline speed is the least-squares slope of level index against
-    crossing time, and all pairwise speeds (k2 - k1) / (t2 - t1) are
-    reported alongside.  The propagator's grid and ``grid`` must both be the
-    flow's.  Every eigenvalue must be a level of its own at every grid time:
-    a spectrum with two eigenvalues spaced at most CLUSTER_TOL anywhere,
-    which the flow counts as one level, is refused.
+    For each level k >= 1 the first time the eigenbasis amplitude from the
+    initial ground state exceeds the threshold is read by _first_crossings;
+    the headline speed is the least-squares slope of level index against
+    crossing time, and every pairwise speed (k2 - k1) / (t2 - t1) of two
+    distinct crossing times is reported alongside.  H is not read: the
+    flow and the propagator carry it.  The propagator's grid and ``grid``
+    must both be the flow's.  Every eigenvalue must be a level of its own
+    at every grid time: a spectrum with two eigenvalues spaced at most
+    CLUSTER_TOL anywhere, which the flow counts as one level, is refused.
     """
     check_aligned(flow.grid, propagator.grid, grid)
     if threshold <= 0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     if flow.ground_dim != 1:
-        raise ValidationError(
-            "crossing analysis needs a nondegenerate ground state"
-        )
+        raise ValidationError("crossing analysis needs a nondegenerate ground state")
     # a level of two or more columns has per-column amplitudes that depend
     # on the basis eigh picks inside it
     if not _level_ends(flow.eigenvalues).all():
@@ -220,34 +229,21 @@ def empirical_v_lr(
             np.einsum("tji,tj->ti", flow.basis.conj(), states, optimize=True)
         )
 
-    crossings = _first_crossings(amps, grid.points, threshold)
-    if len(crossings) < 2:
+    ks, ts = _first_crossings(amps, grid.points, threshold)
+    if ks.size < 2:
         raise InsufficientCrossingsError(
-            f"only {len(crossings)} level(s) crossed the threshold "
+            f"only {ks.size} level(s) crossed the threshold "
             f"{threshold} within [0, {T}]"
         )
-
-    ks = np.array(sorted(crossings))
-    ts = np.array([crossings[k] for k in ks])
     t_var = np.sum((ts - ts.mean()) ** 2)
     if t_var <= 0:
         raise InsufficientCrossingsError(
             "all crossing times coincide; cannot fit a speed"
         )
-    slope = float(np.sum((ts - ts.mean()) * (ks - ks.mean())) / t_var)
-
-    pairwise = []
-    for i in range(len(ks)):
-        for j in range(i + 1, len(ks)):
-            dt = ts[j] - ts[i]
-            if dt != 0:
-                pairwise.append(
-                    (int(ks[i]), int(ks[j]), float((ks[j] - ks[i]) / dt))
-                )
     return EmpiricalSpeed(
-        v_lr=slope,
-        crossing_times={int(k): float(crossings[k]) for k in ks},
-        pairwise_speeds=pairwise,
+        v_lr=float(np.sum((ts - ts.mean()) * (ks - ks.mean())) / t_var),
+        crossing_times={int(k): float(t) for k, t in zip(ks, ts)},
+        pairwise_speeds=_pairwise_speeds(ks, ts),
     )
 
 
@@ -262,7 +258,7 @@ class Fig1Record:
     gap_min: float
     h_norm_min: float
     h_norm_max: float
-    crossing_times: dict[int, float] = field(default_factory=dict)
+    crossing_times: dict[int, float]
 
 
 def _single_run(config: ExperimentConfig, T: float) -> Fig1Record:
@@ -313,23 +309,16 @@ def run_fig1(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    results: dict[float, Fig1Record] = {}
-    failures: dict[float, str] = {}
-
-    def task(T: float):
+    def task(T: float) -> Fig1Record | str:
         try:
-            return T, _single_run(config, T), None
+            return _single_run(config, T)
         except LrlabError as exc:
-            return T, None, f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for T, record, error in pool.map(task, config.T_values):
-            if error is None:
-                results[T] = record
-            else:
-                failures[T] = error
-
-    records = [results[T] for T in sorted(results)]
+        outcomes = dict(zip(config.T_values, pool.map(task, config.T_values)))
+    failures = {T: o for T, o in outcomes.items() if isinstance(o, str)}
+    records = [outcomes[T] for T in sorted(outcomes) if T not in failures]
     paths: list[Path] = []
 
     # fig1.csv's columns, which each per-run JSON file also holds by name
@@ -355,35 +344,29 @@ def run_fig1(
         run_path.write_text(json_text(summary))
         paths.append(run_path)
 
-    svg1 = out_dir / "fig1_dad_vs_vlr.svg"
-    svg2 = out_dir / "fig1_vlr_vs_T.svg"
+    svgs = [out_dir / "fig1_dad_vs_vlr.svg", out_dir / "fig1_vlr_vs_T.svg"]
     if len(records) >= 2:
-        vs = np.array([r.v_lr_empirical for r in records])
-        ds = np.array([r.delta_ad for r in records])
-        Ts = np.array([r.T for r in records])
+        Ts, vs, ds = np.array(rows)[:, :3].T  # T, v_lr and delta_ad
         order = np.argsort(vs)
-        svgplot.line_plot(
-            svg1,
-            [(vs[order], ds[order], "delta_ad")],
-            xlabel="V_LR",
-            ylabel="delta_ad",
-            title="Adiabatic error vs LR speed",
-            logx=True,
-            logy=True,
-        )
-        paths.append(svg1)
-        svgplot.line_plot(
-            svg2,
-            [(Ts, vs, "V_LR")],
-            xlabel="T",
-            ylabel="V_LR",
-            title="LR speed vs total time",
-            logx=True,
-            logy=True,
-        )
-        paths.append(svg2)
+        # each plot's points, its series label (also its y label), x label
+        # and title
+        plots = [
+            (vs[order], ds[order], "delta_ad", "V_LR", "Adiabatic error vs LR speed"),
+            (Ts, vs, "V_LR", "T", "LR speed vs total time"),
+        ]
+        for path, (xs, ys, label, xlabel, title) in zip(svgs, plots):
+            svgplot.line_plot(
+                path,
+                [(xs, ys, label)],
+                xlabel=xlabel,
+                ylabel=label,
+                title=title,
+                logx=True,
+                logy=True,
+            )
+            paths.append(path)
 
-    for stale in [*out_dir.glob("fig1_run_T*.json"), svg1, svg2]:
+    for stale in [*out_dir.glob("fig1_run_T*.json"), *svgs]:
         if stale not in paths:
             stale.unlink(missing_ok=True)
     return records, failures, paths

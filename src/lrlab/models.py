@@ -82,9 +82,9 @@ class LinearInterpolationHamiltonian(TimeDependentHamiltonian):
         self.h_final = _check_hermitian(self.h_final)
         if self.h_initial.shape != self.h_final.shape:
             raise ValidationError("endpoint matrices must share a dimension")
-        if self.total_time <= 0:
+        if not 0.0 < self.total_time < np.inf:
             raise ValidationError(
-                f"total_time must be positive, got {self.total_time}"
+                f"total_time must be positive and finite, got {self.total_time}"
             )
         self.dimension = self.h_initial.shape[0]
 

@@ -439,8 +439,8 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     stop out of the pre-asymptotic regime, where the defects of a stiff H
     are O(1) and rise and fall before they converge.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     if isinstance(H, ConstantHamiltonian):
         w, V = np.linalg.eigh(H.matrix)
         phases = np.exp(-1j * np.outer(grid.points, w))
@@ -482,19 +482,20 @@ def lr_bound_rhs(
     supp_b, such as the projectors onto them.
 
     growth is the exponent integral of a_mu over [0, t] (<a_mu>_t t), a
-    scalar or an array of them.  Past mu d = 700, e^(-mu d) loses its
-    precision and then underflows to 0, where 0 * inf would read NaN; there
-    e^(growth - mu d) gives the bound to within e^(-mu d), and inf past the
-    float range.
+    scalar or an array of them.  The bound is formed as
+    e^(growth - mu d) (1 - e^(-growth)), so neither e^(-mu d) underflowing
+    nor e^growth overflowing meets the other as 0 * inf: it is inf, with no
+    numpy warning, only where the bound itself leaves the float range.
     """
     if supp_a.intersects(supp_b):
         raise ValidationError("supports must be disjoint")
     d = block_distance(supp_a, supp_b)
     prefactor = 2.0 * min(supp_a.size, supp_b.size)
-    if mu * d > 700.0:
-        with np.errstate(over="ignore"):
-            return prefactor * np.exp(growth - mu * d)
-    return prefactor * np.exp(-mu * d) * np.expm1(growth)
+    with np.errstate(over="ignore"):
+        rhs = np.exp(growth - mu * d)
+    rhs *= np.expm1(-growth)  # -(1 - e^(-growth))
+    rhs *= -prefactor
+    return rhs
 
 
 def propagator_spread(prop: Propagator, source: int) -> np.ndarray:

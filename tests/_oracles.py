@@ -134,6 +134,37 @@ def ramp_rk4_oracle():
     return U
 
 
+def crossings_by_level(amps, pts, threshold):
+    """A plain per-level loop over an amplitude table (times, levels).
+
+    Returns {k: t} for every level k >= 1 that exceeds the threshold: t is
+    pts[0] where it is above at the first point, else its first crossing
+    linearly interpolated between the bracketing points.  And the speeds
+    (k1, k2, (k2 - k1) / (t2 - t1)) of every pair k1 < k2 whose times
+    differ, from a nested loop.
+    """
+    crossings = {}
+    for k in range(1, amps.shape[1]):
+        above = [j for j in range(amps.shape[0]) if amps[j, k] > threshold]
+        if not above:
+            continue
+        j = above[0]
+        if j == 0:
+            crossings[k] = float(pts[0])
+            continue
+        a0, a1 = amps[j - 1, k], amps[j, k]
+        frac = (threshold - a0) / (a1 - a0)
+        crossings[k] = float(pts[j - 1] + frac * (pts[j] - pts[j - 1]))
+    levels = sorted(crossings)
+    speeds = []
+    for i, k1 in enumerate(levels):
+        for k2 in levels[i + 1 :]:
+            dt = crossings[k2] - crossings[k1]
+            if dt != 0:
+                speeds.append((k1, k2, (k2 - k1) / dt))
+    return crossings, speeds
+
+
 def operator_norm(M):
     """Largest singular value of a matrix."""
     return float(np.linalg.norm(np.asarray(M), 2))

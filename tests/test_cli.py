@@ -132,6 +132,26 @@ def test_bound_check_at_a_rate_whose_bound_leaves_the_float_range(capsys):
     assert summary["min_margin"] == np.inf
 
 
+def test_bound_check_where_only_the_growth_overflows_runs_under_w_error():
+    """At mu = 100, e^(-mu d) stays finite while e^growth passes the float
+    range: a `python -W error` process passes with an infinite margin and
+    writes nothing to stderr."""
+    src = str(Path(lrlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["bound-check", "--supp-a", "0", "--supp-b", "5", "--mu", "100"]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "lrlab.cli", *argv, "--grid", "101"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    summary = json.loads(done.stdout)
+    assert (summary["violations"], summary["min_margin"]) == (0, np.inf)
+
+
 def test_locality_with_mu(small_cfg_file, capsys):
     code = main(["locality", "--config", str(small_cfg_file), "--mu", "0.5"])
     assert code == 0

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrlab.adiabatic import CLUSTER_TOL, spectral_flow
 from lrlab import experiment
@@ -12,6 +14,7 @@ from lrlab.errors import InsufficientCrossingsError, ValidationError
 from lrlab.experiment import (
     ExperimentConfig,
     _first_crossings,
+    _pairwise_speeds,
     _worker_count,
     empirical_v_lr,
     parse_complex_matrix,
@@ -21,6 +24,8 @@ from lrlab.experiment import (
 from lrlab.models import ConstantHamiltonian, build_example_ramp
 from lrlab.numerics import TimeGrid
 from lrlab.propagation import evolve_on_grid
+
+from _oracles import crossings_by_level
 
 
 # -- config ---------------------------------------------------------------
@@ -245,8 +250,43 @@ def test_empirical_speed_refuses_levels_within_cluster_tol():
 
 def test_a_level_above_threshold_at_the_start_crosses_at_the_first_point():
     amps = np.array([[1.0, 0.5, 0.0], [0.9, 0.6, 0.2]])
-    crossings = _first_crossings(amps, np.array([0.0, 2.0]), 0.1)
-    assert crossings == {1: 0.0, 2: pytest.approx(1.0, abs=1e-15)}
+    ks, ts = _first_crossings(amps, np.array([0.0, 2.0]), 0.1)
+    assert ks.tolist() == [1, 2]
+    assert ts[0] == 0.0
+    assert ts[1] == pytest.approx(1.0, abs=1e-15)
+
+
+# a few exact values, so that columns repeat, levels tie, and an amplitude
+# can sit at the threshold; and any value in [0, 1]
+_AMPLITUDE = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.9]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_crossings_and_pairwise_speeds_match_a_per_level_loop(data):
+    """The array read-out gives the loop's levels, times and pairwise speeds
+    bit for bit: on tables whose levels cross at the first point, cross
+    later, never cross, or share a column and so a crossing time."""
+    n_points = data.draw(st.integers(2, 6))
+    column = st.lists(_AMPLITUDE, min_size=n_points, max_size=n_points)
+    columns = data.draw(st.lists(column, min_size=1, max_size=3))
+    picks = st.integers(0, len(columns) - 1)
+    levels = data.draw(st.lists(picks, min_size=1, max_size=7))
+    amps = np.array([columns[i] for i in levels]).T
+    step = st.sampled_from([0.5, 1.0, 2.5])
+    steps = data.draw(st.lists(step, min_size=n_points - 1, max_size=n_points - 1))
+    pts = np.concatenate([[0.0], np.cumsum(steps)])
+    thresholds = st.one_of(st.sampled_from([0.2, 0.5]), st.floats(0.01, 0.99))
+    threshold = data.draw(thresholds)
+
+    crossings, speeds = crossings_by_level(amps, pts, threshold)
+    ks, ts = _first_crossings(amps, pts, threshold)
+    assert ks.tolist() == list(crossings)
+    assert [t.hex() for t in ts.tolist()] == [t.hex() for t in crossings.values()]
+    got = _pairwise_speeds(ks, ts)
+    assert [(a, b, v.hex()) for a, b, v in got] == [
+        (a, b, v.hex()) for a, b, v in speeds
+    ]
 
 
 def test_empirical_speed_refuses_a_non_positive_threshold():
@@ -262,7 +302,8 @@ def test_empirical_speed_needs_two_distinct_crossing_times(monkeypatch):
     H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2]))
     grid = TimeGrid.uniform(1.0, 11)
     flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid)
-    monkeypatch.setattr(experiment, "_first_crossings", lambda *a: {1: 0.5, 2: 0.5})
+    tied = (np.array([1, 2]), np.array([0.5, 0.5]))
+    monkeypatch.setattr(experiment, "_first_crossings", lambda *a: tied)
     with pytest.raises(InsufficientCrossingsError, match="crossing times coincide"):
         empirical_v_lr(H, 1.0, 0.1, grid, flow=flow, propagator=prop)
 

@@ -202,6 +202,14 @@ def test_interpolation_validation():
         ConstantHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+def test_interpolation_refuses_a_total_time_that_is_not_positive_and_finite(T):
+    with pytest.raises(
+        ValidationError, match=f"total_time must be positive and finite, got {T}"
+    ):
+        LinearInterpolationHamiltonian(np.eye(2), np.eye(2), T)
+
+
 def test_validated_matrices_are_read_only_copies():
     """A later write to the caller's array cannot reach a validated
     Hamiltonian, and the validated matrix itself cannot be written."""

@@ -470,6 +470,17 @@ def test_stalled_refinement_names_its_floor_and_the_tol():
     assert f"{defect:.3e}" in str(err.value)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
+def test_evolve_refuses_a_tolerance_that_is_not_positive_and_finite(tol):
+    """A NaN tol would run the halvings to a convergence failure, and an
+    infinite one would accept the first level; both are refused by name
+    before any step."""
+    H, grid = build_example_ramp(12.5), TimeGrid.uniform(12.5, 101)
+    message = f"tolerance must be positive and finite, got {tol}"
+    with pytest.raises(ValidationError, match=message):
+        evolve_on_grid(H, grid, tol)
+
+
 @pytest.mark.parametrize("scale, m", [(20.0, 1024), (200.0, 4096), (2000.0, 32768)])
 def test_stiff_refinement_is_not_taken_for_a_stall(scale, m):
     """Before the asymptotic regime the defects are O(1) and not monotone
