@@ -199,9 +199,15 @@ ROWS = [
     ),
     (
         ADIA,
-        "VG.shape[-1] :].conj().swapaxes(-1, -2) @ (W @ VG)",
-        "VG.shape[-1] :].swapaxes(-1, -2) @ (W @ VG)",
+        "(S.conj().swapaxes(-1, -2) @ VE).conj().swapaxes(-1, -2)",
+        "(S.swapaxes(-1, -2) @ VE).swapaxes(-1, -2)",
         "the excited-ground block takes V_E^T, not V_E^dag, for a complex frame",
+    ),
+    (
+        ADIA,
+        "return _times(VE.swapaxes(-1, -2), S)",
+        "return _times(VE.swapaxes(-1, -2), S.real)",
+        "real frames drop the imaginary part of W V_G from the block",
     ),
     (
         ADIA,

@@ -24,8 +24,10 @@ R = Gdot's excited-ground block, and so H - H_ad; with W = U(t) and
 V_G = V_G(0) it gives the ground-space leakage delta_ad and the
 intertwining defect, since for projectors of equal rank
 ||P - Q|| = ||(1 - Q) P|| (Kato, Perturbation Theory for Linear Operators,
-I 4.6).  No d x d projector is formed.  On the grid the frames
-are the flow's; h_ad diagonalizes H itself at times off the grid.
+I 4.6), and the crossing amplitudes of the empirical LR speed.  No d x d
+projector is formed, and ``_excited_ground`` reads the frames in place.
+On the grid the frames are the flow's; h_ad diagonalizes H itself at
+times off the grid.
 
 The eigenframes are eigh's as they come: each column is fixed only up to a
 phase, and the columns of a level (the ground level, or an excited one)
@@ -46,7 +48,7 @@ from .errors import GapClosureError, LevelCrossingError
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
 from .numerics import TimeGrid, _worker_count, check_aligned, operator_norms
-from .propagation import Propagator, evolve_on_grid
+from .propagation import Propagator, _times, evolve_on_grid
 
 CLUSTER_TOL = 1e-8
 
@@ -111,8 +113,17 @@ def spectral_flow(H: TimeDependentHamiltonian, grid: TimeGrid) -> SpectralFlow:
 
 def _excited_ground(V: np.ndarray, W: np.ndarray, VG: np.ndarray) -> np.ndarray:
     """The block V_E^dag W V_G, batched over leading axes: V_G the given
-    ground columns, V_E the columns of the frames V past the first |G|."""
-    return V[..., VG.shape[-1] :].conj().swapaxes(-1, -2) @ (W @ VG)
+    ground columns, V_E the columns of the frames V past the first |G|.
+
+    The frames are read in place.  The small S = W V_G comes first; real
+    frames then multiply it as the transposed view V_E^T (``_times``), and
+    complex frames give (S^dag V_E)^dag, so only arrays of S's size and of
+    the result's are conjugated."""
+    S = W @ VG
+    VE = V[..., VG.shape[-1] :]
+    if np.iscomplexobj(V):
+        return (S.conj().swapaxes(-1, -2) @ VE).conj().swapaxes(-1, -2)
+    return _times(VE.swapaxes(-1, -2), S)
 
 
 def _gdot_eigframe(

@@ -7,9 +7,12 @@ The empirical speed follows the level-crossing construction: evolve the
 initial ground state, record for each level k the first time the
 instantaneous-eigenbasis amplitude |<E_k(t)| U(t,0) |G(0)>| exceeds a
 threshold, interpolated between grid points, and fit levels against
-crossing times.  The crossings stay two arrays, the levels and their times,
-from the read-out to the fit and the pairwise speeds.  Each total time of
-the sweep has one outcome: its record, or the error that stopped it.
+crossing times.  Those amplitudes are the moduli of the adiabatic layer's
+excited-ground block V_E(t)^dag U(t, 0) V_G(0), with V_G(0) the ground
+column, read by its one kernel ``_excited_ground`` with the frames in
+place.  The crossings stay two arrays, the levels and their times, from
+the read-out to the fit and the pairwise speeds.  Each total time of the
+sweep has one outcome: its record, or the error that stopped it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import svgplot
-from .adiabatic import SpectralFlow, _level_ends, adiabatic_error, spectral_flow
+from . import adiabatic, svgplot
 from .errors import InsufficientCrossingsError, LrlabError, ValidationError
 from .models import (
     ConstantHamiltonian,
@@ -51,11 +53,13 @@ def _number(value) -> bool:
 
 # each config field's test, and what a refusal says the field must be
 _FIELD_RULES = {
+    # each T names its fig1_run_T{T:g}.json, so no two may share a name
     "T_values": (
         lambda v: isinstance(v, (list, tuple, np.ndarray))
         and len(v) > 0
-        and all(_number(T) and T > 0 for T in v),
-        "a non-empty list of positive finite numbers",
+        and all(_number(T) and T > 0 for T in v)
+        and len({f"{T:g}" for T in v}) == len(v),
+        "a non-empty list of positive finite numbers, distinct to 6 digits (%g)",
     ),
     "threshold": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
     "mu": (
@@ -70,6 +74,13 @@ _FIELD_RULES = {
     "output_dir": (lambda v: isinstance(v, (str, os.PathLike)), "a path"),
     "fixed_basis": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
 }
+
+
+def _check_field(name: str, value) -> None:
+    """Refuse a config field's value that fails its rule, by name."""
+    valid, what = _FIELD_RULES[name]
+    if not valid(value):
+        raise ValidationError(f"{name} must be {what}, got {value!r}")
 
 
 def parse_complex_matrix(rows) -> np.ndarray:
@@ -114,10 +125,8 @@ class ExperimentConfig:
     fixed_basis: bool = False
 
     def __post_init__(self):
-        for name, (valid, what) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if not valid(value):
-                raise ValidationError(f"{name} must be {what}, got {value!r}")
+        for name in _FIELD_RULES:
+            _check_field(name, getattr(self, name))
         self.T_values = tuple(float(T) for T in self.T_values)
 
     @classmethod
@@ -159,19 +168,20 @@ class EmpiricalSpeed:
 def _first_crossings(
     amps: np.ndarray, pts: np.ndarray, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The levels k >= 1 whose amplitude exceeds the threshold at some grid
-    point, in ascending order, and the time of each one's first crossing,
-    linearly interpolated between the bracketing grid points.  A level
-    above the threshold at the first point crosses at pts[0]."""
-    above = amps[:, 1:] > threshold
-    ks = np.flatnonzero(above.any(axis=0)) + 1
-    j = above[:, ks - 1].argmax(axis=0)  # first point above, per level
+    """From the excited levels' amplitudes (times, levels), column k - 1
+    for level k >= 1: the levels whose amplitude exceeds the threshold at
+    some grid point, in ascending order, and the time of each one's first
+    crossing, linearly interpolated between the bracketing grid points.  A
+    level above the threshold at the first point crosses at pts[0]."""
+    above = amps > threshold
+    cols = np.flatnonzero(above.any(axis=0))
+    j = above[:, cols].argmax(axis=0)  # first point above, per level
     ts = pts[j]  # a copy; a level above at the first point keeps pts[0]
     later = j > 0
-    j, k = j[later], ks[later]
-    a0, a1 = amps[j - 1, k], amps[j, k]
+    j, c = j[later], cols[later]
+    a0, a1 = amps[j - 1, c], amps[j, c]
     ts[later] = pts[j - 1] + (threshold - a0) / (a1 - a0) * (pts[j] - pts[j - 1])
-    return ks, ts
+    return cols + 1, ts
 
 
 def _pairwise_speeds(ks: np.ndarray, ts: np.ndarray) -> list[tuple[int, int, float]]:
@@ -191,45 +201,40 @@ def empirical_v_lr(
     grid: TimeGrid,
     fixed_basis: bool = False,
     *,
-    flow: SpectralFlow,
+    flow: adiabatic.SpectralFlow,
     propagator: Propagator,
 ) -> EmpiricalSpeed:
     """LR speed from amplitude threshold crossings, read off the flow's
     eigenframes and the propagator, both on the grid.
 
-    For each level k >= 1 the first time the eigenbasis amplitude from the
-    initial ground state exceeds the threshold is read by _first_crossings;
+    The amplitudes are |<E_k(t)| U(t, 0) |G(0)>| for the excited levels
+    k >= 1, read by ``_excited_ground`` with the frames at each t, or with
+    the frames at t = 0 alone under fixed_basis.  For each level the first
+    time its amplitude exceeds the threshold is read by _first_crossings;
     the headline speed is the least-squares slope of level index against
     crossing time, and every pairwise speed (k2 - k1) / (t2 - t1) of two
     distinct crossing times is reported alongside.  H is not read: the
     flow and the propagator carry it.  The propagator's grid and ``grid``
     must both be the flow's.  Every eigenvalue must be a level of its own
     at every grid time: a spectrum with two eigenvalues spaced at most
-    CLUSTER_TOL anywhere, which the flow counts as one level, is refused.
+    CLUSTER_TOL anywhere, which the flow counts as one level, is refused,
+    and so is a threshold outside (0, 1), as the config refuses it.
     """
     check_aligned(flow.grid, propagator.grid, grid)
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
+    _check_field("threshold", threshold)
     if flow.ground_dim != 1:
         raise ValidationError("crossing analysis needs a nondegenerate ground state")
     # a level of two or more columns has per-column amplitudes that depend
     # on the basis eigh picks inside it
-    if not _level_ends(flow.eigenvalues).all():
+    if not adiabatic._level_ends(flow.eigenvalues).all():
         raise ValidationError(
             "spectrum is degenerate along the path; crossing times are "
             "not well-defined"
         )
 
-    g0 = flow.basis[0][:, 0]
-    states = propagator.unitaries @ g0  # (times, dim)
-    if fixed_basis:
-        amps = np.abs(states @ flow.basis[0].conj())
-    else:
-        amps = np.abs(
-            np.einsum("tji,tj->ti", flow.basis.conj(), states, optimize=True)
-        )
-
-    ks, ts = _first_crossings(amps, grid.points, threshold)
+    frames = flow.basis[:1] if fixed_basis else flow.basis
+    leak = adiabatic._excited_ground(frames, propagator.unitaries, flow.basis[0][:, :1])
+    ks, ts = _first_crossings(np.abs(leak[..., 0]), grid.points, threshold)
     if ks.size < 2:
         raise InsufficientCrossingsError(
             f"only {ks.size} level(s) crossed the threshold "
@@ -261,21 +266,16 @@ class Fig1Record:
     crossing_times: dict[int, float]
 
 
-def _single_run(config: ExperimentConfig, T: float) -> Fig1Record:
-    H = config.build_hamiltonian(T)
+def _single_run(
+    config: ExperimentConfig, T: float, H: TimeDependentHamiltonian
+) -> Fig1Record:
     grid = TimeGrid.uniform(T, config.grid_points)
-    flow = spectral_flow(H, grid)
+    flow = adiabatic.spectral_flow(H, grid)
     prop = evolve_on_grid(H, grid, config.integrator_tol)
     emp = empirical_v_lr(
-        H,
-        T,
-        config.threshold,
-        grid,
-        fixed_basis=config.fixed_basis,
-        flow=flow,
-        propagator=prop,
+        H, T, config.threshold, grid, config.fixed_basis, flow=flow, propagator=prop
     )
-    delta_ad = adiabatic_error(prop, flow)
+    delta_ad = adiabatic.adiabatic_error(prop, flow)
 
     norms = np.maximum(
         np.abs(flow.eigenvalues[:, 0]), np.abs(flow.eigenvalues[:, -1])
@@ -302,16 +302,18 @@ def run_fig1(
     (its other fig1_run_T*.json files, its SVGs when this sweep draws none)
     are removed, so that the directory describes one sweep; no other file
     is touched.  Returns (records sorted by T, per-T error strings, written
-    paths).
+    paths).  A Hamiltonian spec that cannot be built is refused before the
+    output directory is made: whether it builds does not depend on T.
     """
     # a refused LRLAB_THREADS leaves no output directory behind
     workers = _worker_count(len(config.T_values))
+    Hs = {T: config.build_hamiltonian(T) for T in config.T_values}
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def task(T: float) -> Fig1Record | str:
         try:
-            return _single_run(config, T)
+            return _single_run(config, T, Hs[T])
         except LrlabError as exc:
             return f"{type(exc).__name__}: {exc}"
 

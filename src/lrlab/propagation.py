@@ -270,9 +270,11 @@ def _commutator(X: np.ndarray, Y: np.ndarray, mixed: bool = False) -> np.ndarray
 
 
 def _times(X: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """X @ F for a complex F; a real X multiplies F's real and imaginary
-    parts in one real product, over F's interleaved float view."""
-    if np.iscomplexobj(X):
+    """X @ F, with no complex copy of a real X: a real X meets a complex
+    F's real and imaginary parts in one real product, over F's interleaved
+    float view (so F's last axis must be contiguous), and a real F is
+    passed to @ as it is.  X may be a strided view, such as a transpose."""
+    if np.iscomplexobj(X) or not np.iscomplexobj(F):
         return X @ F
     return (X @ F.view(float)).view(complex)
 

@@ -134,6 +134,17 @@ def ramp_rk4_oracle():
     return U
 
 
+def crossing_amplitudes(flow, U, fixed_basis=False):
+    """|<E_k| U(t) |G(0)>| for every column k of the flow's frames, shape
+    (times, dim): the evolved initial ground state, then an einsum over the
+    conjugated frames at each t, or, under fixed_basis, a product with the
+    conjugated frames at t = 0."""
+    states = U @ flow.basis[0][:, 0]
+    if fixed_basis:
+        return np.abs(states @ flow.basis[0].conj())
+    return np.abs(np.einsum("tji,tj->ti", flow.basis.conj(), states, optimize=True))
+
+
 def crossings_by_level(amps, pts, threshold):
     """A plain per-level loop over an amplitude table (times, levels).
 

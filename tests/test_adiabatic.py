@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -348,6 +349,27 @@ def test_block_readers_match_projector_forms(ramp_run, doubled_run):
             mixed_ground_leakage(U, flow), abs=1e-12
         )
     assert adiabatic_error(U2, flow2) > 1e-6
+
+
+def test_excited_ground_reads_real_frames_in_place():
+    """With real frames and a complex W, the block V_E^dag W V_G allocates
+    under a quarter of one frame set, so no copy and no complex cast of
+    the frames is made, and it equals the block formed from such a cast."""
+    rng = np.random.default_rng(5)
+    t, d = 401, 32
+    V = np.linalg.qr(rng.standard_normal((t, d, d)))[0]
+    W = rng.standard_normal((t, d, d)) + 1j * rng.standard_normal((t, d, d))
+    VG = V[0][:, :1]
+    tracemalloc.start()
+    try:
+        block = adiabatic._excited_ground(V, W, VG)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < V.nbytes / 4
+    VE = V[..., 1:].astype(complex)
+    expected = VE.conj().swapaxes(-1, -2) @ (W @ VG.astype(complex))
+    np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13)
 
 
 # -- wave-operator errors -----------------------------------------------------------

@@ -437,6 +437,28 @@ def test_fig1_refuses_an_infinite_total_time_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fig1_refuses_an_unbuildable_hamiltonian_before_writing(tmp_path, capsys):
+    """Refused as lrlab adiabatic refuses it, not once per T as a
+    numerical failure."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"hamiltonian": "nope"}))
+    out = tmp_path / "d"
+    for command in ("adiabatic", "fig1"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown hamiltonian spec: 'nope'\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_fig1_refuses_total_times_that_share_a_file_name(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["fig1", "--T", "12.5", "12.5000001", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: T_values must be") and "12.5000001" in err
+    assert not out.exists()
+
+
 def test_flag_overrides_are_validated(small_cfg_file, tmp_path, capsys):
     assert main(["locality", "--config", str(small_cfg_file), "--grid", "1"]) == 1
     assert "grid_points" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,15 @@ from lrlab.experiment import (
     read_config,
     run_fig1,
 )
-from lrlab.models import ConstantHamiltonian, build_example_ramp
+from lrlab.models import (
+    ConstantHamiltonian,
+    LinearInterpolationHamiltonian,
+    build_example_ramp,
+)
 from lrlab.numerics import TimeGrid
 from lrlab.propagation import evolve_on_grid
 
-from _oracles import crossings_by_level
+from _oracles import crossing_amplitudes, crossings_by_level
 
 
 # -- config ---------------------------------------------------------------
@@ -103,6 +108,9 @@ WRONG_TYPES = [
     ("T_values", [12.5, float("inf")]),
     ("integrator_tol", float("inf")),
     ("threshold", float("nan")),
+    # two total times that would write one fig1_run_T12.5.json
+    ("T_values", [12.5, 12.5000001]),
+    ("T_values", [25.0, 12.5, 25.0]),
 ]
 
 
@@ -207,8 +215,7 @@ def test_crossing_interpolation_consistency():
     flow = spectral_flow(H, grid)
     prop = evolve_on_grid(H, grid, 1e-8)
     emp = empirical_v_lr(H, T, threshold, grid, flow=flow, propagator=prop)
-    states = prop.unitaries @ flow.basis[0][:, 0]
-    amps = np.abs(np.einsum("tji,tj->ti", flow.basis.conj(), states))
+    amps = crossing_amplitudes(flow, prop.unitaries)
     for k, t_k in emp.crossing_times.items():
         j = int(np.searchsorted(grid.points, t_k))
         j = max(1, min(j, len(grid) - 1))
@@ -250,7 +257,7 @@ def test_empirical_speed_refuses_levels_within_cluster_tol():
 
 def test_a_level_above_threshold_at_the_start_crosses_at_the_first_point():
     amps = np.array([[1.0, 0.5, 0.0], [0.9, 0.6, 0.2]])
-    ks, ts = _first_crossings(amps, np.array([0.0, 2.0]), 0.1)
+    ks, ts = _first_crossings(amps[:, 1:], np.array([0.0, 2.0]), 0.1)
     assert ks.tolist() == [1, 2]
     assert ts[0] == 0.0
     assert ts[1] == pytest.approx(1.0, abs=1e-15)
@@ -280,7 +287,7 @@ def test_crossings_and_pairwise_speeds_match_a_per_level_loop(data):
     threshold = data.draw(thresholds)
 
     crossings, speeds = crossings_by_level(amps, pts, threshold)
-    ks, ts = _first_crossings(amps, pts, threshold)
+    ks, ts = _first_crossings(amps[:, 1:], pts, threshold)
     assert ks.tolist() == list(crossings)
     assert [t.hex() for t in ts.tolist()] == [t.hex() for t in crossings.values()]
     got = _pairwise_speeds(ks, ts)
@@ -293,8 +300,20 @@ def test_empirical_speed_refuses_a_non_positive_threshold():
     H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2]))
     grid = TimeGrid.uniform(1.0, 11)
     flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid)
-    with pytest.raises(ValidationError, match="threshold must be positive, got 0.0"):
+    with pytest.raises(ValidationError, match=r"must be a number in \(0, 1\), got 0.0"):
         empirical_v_lr(H, 1.0, 0.0, grid, flow=flow, propagator=prop)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 1.0, 1.5])
+def test_empirical_speed_refuses_a_threshold_outside_0_1(threshold):
+    """Refused by name, as the config refuses it, and not read as a sweep
+    in which no level crossed."""
+    H = ConstantHamiltonian(np.diag([0.0, 0.1, 0.2]))
+    grid = TimeGrid.uniform(1.0, 11)
+    flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid)
+    message = rf"threshold must be a number in \(0, 1\), got {threshold!r}"
+    with pytest.raises(ValidationError, match=message):
+        empirical_v_lr(H, 1.0, threshold, grid, flow=flow, propagator=prop)
 
 
 def test_empirical_speed_needs_two_distinct_crossing_times(monkeypatch):
@@ -306,6 +325,68 @@ def test_empirical_speed_needs_two_distinct_crossing_times(monkeypatch):
     monkeypatch.setattr(experiment, "_first_crossings", lambda *a: tied)
     with pytest.raises(InsufficientCrossingsError, match="crossing times coincide"):
         empirical_v_lr(H, 1.0, 0.1, grid, flow=flow, propagator=prop)
+
+
+def phased_ramp(T):
+    """The bundled ramp conjugated by diag(e^(ik)): the same spectrum and
+    crossings, with complex frames."""
+    H = build_example_ramp(T)
+    D = np.exp(1j * np.arange(H.dimension))
+    turn = D[:, None] * D.conj()
+    return LinearInterpolationHamiltonian(turn * H.h_initial, turn * H.h_final, T)
+
+
+@pytest.mark.parametrize("fixed_basis", [False, True], ids=["moving", "fixed"])
+@pytest.mark.parametrize(
+    "ramp", [build_example_ramp, phased_ramp], ids=["real", "complex"]
+)
+def test_crossing_amplitudes_match_the_einsum_form(ramp, fixed_basis, monkeypatch):
+    """What empirical_v_lr hands to _first_crossings are the excited
+    levels' amplitudes of the evolved state and the frames, in either
+    basis, for real and for complex frames."""
+    T = 12.5
+    H = ramp(T)
+    grid = TimeGrid.uniform(T, 401)
+    flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid, 1e-8)
+    assert np.iscomplexobj(flow.basis) == (ramp is phased_ramp)
+    seen = []
+
+    def first_crossings(amps, *args):
+        seen.append(amps)
+        return _first_crossings(amps, *args)
+
+    monkeypatch.setattr(experiment, "_first_crossings", first_crossings)
+    empirical_v_lr(H, T, 6e-4, grid, fixed_basis, flow=flow, propagator=prop)
+    expected = crossing_amplitudes(flow, prop.unitaries, fixed_basis)[:, 1:]
+    np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-15)
+
+
+def ladder_ramp(d, T):
+    """The bundled ramp's construction at d levels: a diagonal from 0 to 1
+    in equal steps, and a nearest-neighbour hopping of 1/2 switched on."""
+    h_i = np.diag(np.linspace(0.0, 1.0, d))
+    k = np.arange(d - 1)
+    h_f = h_i.copy()
+    h_f[k, k + 1] = h_f[k + 1, k] = 0.5
+    return LinearInterpolationHamiltonian(h_i, h_f, T)
+
+
+def test_crossing_read_out_reads_the_frames_in_place():
+    """The read-out allocates under a quarter of one frame set: no copy of
+    the real frames, and no complex cast of them."""
+    T = 12.5
+    H = ladder_ramp(32, T)
+    grid = TimeGrid.uniform(T, 501)
+    flow, prop = spectral_flow(H, grid), evolve_on_grid(H, grid, 1e-8)
+    assert flow.basis.dtype == float
+    tracemalloc.start()
+    try:
+        emp = empirical_v_lr(H, T, 6e-4, grid, flow=flow, propagator=prop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(emp.crossing_times) >= 2
+    assert peak < flow.basis.nbytes / 4
 
 
 def test_empirical_speed_refuses_misaligned_grids():
