@@ -233,6 +233,18 @@ ROWS = [
         "if stack.shape[0] > 1:",
         "every stack takes its first matrix's norm, not only a broadcast one",
     ),
+    (
+        "src/lrlab/numerics.py",
+        "if not 0.0 < value < np.inf:",
+        "if not 0.0 < value <= np.inf:",
+        "the positive-finite check lets an infinite parameter through",
+    ),
+    (
+        "src/lrlab/blocks.py",
+        "np.abs(H - H.conj().swapaxes(-1, -2))",
+        "np.abs(H - H.swapaxes(-1, -2))",
+        "the Hermitian test compares H with H^T, not H^dag",
+    ),
 ]
 
 TIER1 = [

@@ -1,5 +1,5 @@
-"""Basis-label bookkeeping: blocks, distances, bandwidth and the Hermitian
-check.
+"""Basis-label bookkeeping: blocks, distances, bandwidth and the one
+Hermitian test.
 
 A *block* is a finite set of basis labels (integers giving positions in an
 ordered representation basis).  A Hermitian matrix is its own pairwise
@@ -50,6 +50,18 @@ def block_distance(a: Block, b: Block) -> int:
     return min(abs(j - i) for i in a.labels for j in b.labels)
 
 
+def refuse_non_hermitian(H: np.ndarray, what: str) -> None:
+    """Refuse a matrix, or a stack of them, whose max |H - H^dag| exceeds
+    HERMITICITY_TOL max(1, max |H|), the maxima taken over the whole stack;
+    the message starts with `what`.  A NaN entry fails no comparison here,
+    so a caller that admits one refuses it elsewhere."""
+    defect = np.abs(H - H.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if defect > HERMITICITY_TOL * max(1.0, np.abs(H).max(initial=0.0)):
+        raise ValidationError(
+            f"{what} is not Hermitian: max |H - H^dag| = {defect:.3e}"
+        )
+
+
 def _check_hermitian(H: np.ndarray) -> np.ndarray:
     """A read-only copy of H, once checked square, finite and Hermitian, so
     that later writes to the caller's array cannot reach it.  The copy is
@@ -58,15 +70,10 @@ def _check_hermitian(H: np.ndarray) -> np.ndarray:
     H = np.array(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {H.shape}")
-    # NaN fails both comparisons below, so it must be refused here
+    # NaN fails the Hermitian test's comparisons, so it is refused here
     if not np.all(np.isfinite(H)):
         raise ValidationError("matrix contains NaN or Inf entries")
-    scale = max(1.0, float(np.max(np.abs(H))) if H.size else 0.0)
-    defect = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if defect > HERMITICITY_TOL * scale:
-        raise ValidationError(
-            f"matrix is not Hermitian: max |H - H^dag| = {defect:.3e}"
-        )
+    refuse_non_hermitian(H, "matrix")
     if not H.imag.any():
         # .real, not astype(float), which warns on every complex input
         H = H.real.copy()

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: decompose, locality, bound-check, spread, adiabatic, fig1.
-Exit codes: 0 success, 1 validation/usage error, 2 numerical failure,
-3 bound violation detected.
+Exit codes: 0 success, 1 validation/usage error or an output that cannot
+be written, 2 numerical failure, 3 bound violation detected.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return _SUBCOMMANDS[args.command][0](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

@@ -298,10 +298,12 @@ def run_fig1(
     """Run the sweep per total time, then export CSV, JSON, and SVG files.
 
     Individual total-time failures are recorded and do not stop the sweep.
-    The fig1 artefacts of an earlier sweep that this one did not rewrite
-    (its other fig1_run_T*.json files, its SVGs when this sweep draws none)
-    are removed, so that the directory describes one sweep; no other file
-    is touched.  Returns (records sorted by T, per-T error strings, written
+    The two log-log SVGs plot the records with positive v_lr and delta_ad,
+    and are drawn only when there are at least two.  The fig1 artefacts of
+    an earlier sweep that this one did not rewrite (its other
+    fig1_run_T*.json files, its SVGs when this sweep draws none) are
+    removed, so that the directory describes one sweep; no other file is
+    touched.  Returns (records sorted by T, per-T error strings, written
     paths).  A Hamiltonian spec that cannot be built is refused before the
     output directory is made: whether it builds does not depend on T.
     """
@@ -347,8 +349,10 @@ def run_fig1(
         paths.append(run_path)
 
     svgs = [out_dir / "fig1_dad_vs_vlr.svg", out_dir / "fig1_vlr_vs_T.svg"]
-    if len(records) >= 2:
-        Ts, vs, ds = np.array(rows)[:, :3].T  # T, v_lr and delta_ad
+    # both plots are log-log, so they draw only positive v_lr and delta_ad
+    plotted = [row[:3] for row in rows if row[1] > 0 and row[2] > 0]
+    if len(plotted) >= 2:
+        Ts, vs, ds = np.array(plotted).T  # T, v_lr and delta_ad
         order = np.argsort(vs)
         # each plot's points, its series label (also its y label), x label
         # and title

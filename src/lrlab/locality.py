@@ -28,7 +28,7 @@ import numpy as np
 from .blocks import STRUCTURAL_ZERO, _check_hermitian
 from .errors import NumericalError, ValidationError
 from .models import ConstantHamiltonian, TimeDependentHamiltonian
-from .numerics import TimeGrid, lambert_w, running_trapezoid
+from .numerics import TimeGrid, check_positive, lambert_w, running_trapezoid
 
 # relative slack when comparing a locality load against a certificate's a_mu;
 # guards the exact equality case (a certificate audited against its own H)
@@ -38,12 +38,6 @@ _LOAD_RTOL = 1e-12
 # width at which the golden-section bracket stops
 _SCAN_POINTS = 100
 _GOLDEN_RTOL = 1e-6
-
-
-def _check_rate(mu: float) -> None:
-    """Refuse a rate outside 0 < mu < inf; NaN fails the comparison too."""
-    if not 0.0 < mu < np.inf:
-        raise ValidationError(f"mu must be positive and finite, got {mu}")
 
 
 def _check_load(a_mu: np.ndarray, mu: float) -> None:
@@ -75,7 +69,7 @@ class LocalityCertificate:
     growth: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        _check_rate(self.mu)
+        check_positive("mu", self.mu)
         samples = np.array(self.a_mu_samples, dtype=float)
         samples.setflags(write=False)
         # one per grid point: running_trapezoid refuses another length
@@ -187,7 +181,7 @@ def a_mu_pointwise(H: np.ndarray, mu: float) -> float:
     """Tightest locality constant of a Hermitian matrix at rate mu, from its
     pairwise decomposition: max over levels i of
     sum_{Z containing i} |Z| ||H_Z|| e^(mu diam Z)."""
-    _check_rate(mu)
+    check_positive("mu", mu)
     a_mu = _a_mu(_abs_offdiag_and_diag(_check_hermitian(H)[None]), mu)
     _check_load(a_mu, mu)
     return float(a_mu[0])
@@ -224,9 +218,9 @@ def certify(
 def exp_local_bound(h: float, mu_prime: float, mu: float) -> float:
     """Closed-form locality constant 4h / (1 - e^(mu - mu')) for matrices
     inside the envelope |H_ij| <= h e^(-mu' |i-j|); finite only for mu < mu'."""
-    if h <= 0:
-        raise ValidationError(f"h must be positive, got {h}")
-    if mu < 0:
+    check_positive("h", h)
+    check_positive("mu_prime", mu_prime)
+    if not mu >= 0:
         raise ValidationError(f"mu must be nonnegative, got {mu}")
     if mu >= mu_prime:
         raise ValidationError(
@@ -241,8 +235,8 @@ def optimal_mu_exp_local(h: float, mu_prime: float) -> tuple[float, float]:
     The minimum of 4h / [mu (1 - e^(mu - mu'))] over mu sits at
     mu = w(e^(1 + mu')) - 1 with w the product logarithm.
     """
-    if h <= 0 or mu_prime <= 0:
-        raise ValidationError("h and mu_prime must be positive")
+    # named here, before lambert_w sees e^(1 + mu'); exp_local_bound checks h
+    check_positive("mu_prime", mu_prime)
     mu_min = lambert_w(np.exp(1.0 + mu_prime)) - 1.0
     v_min = exp_local_bound(h, mu_prime, mu_min) / mu_min
     return float(mu_min), float(v_min)

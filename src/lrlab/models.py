@@ -16,6 +16,7 @@ import numpy as np
 
 from .blocks import _check_hermitian
 from .errors import ValidationError
+from .numerics import check_positive
 
 
 class TimeDependentHamiltonian:
@@ -82,16 +83,14 @@ class LinearInterpolationHamiltonian(TimeDependentHamiltonian):
         self.h_final = _check_hermitian(self.h_final)
         if self.h_initial.shape != self.h_final.shape:
             raise ValidationError("endpoint matrices must share a dimension")
-        if not 0.0 < self.total_time < np.inf:
-            raise ValidationError(
-                f"total_time must be positive and finite, got {self.total_time}"
-            )
+        check_positive("total_time", self.total_time)
         self.dimension = self.h_initial.shape[0]
 
     def _times(self, ts) -> np.ndarray:
-        """ts as a float array, refused unless it lies in [0, T]."""
+        """ts as a float array, refused unless every time lies in [0, T],
+        so a NaN time is refused too."""
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0) or np.any(ts > self.total_time * (1 + 1e-12)):
+        if not np.all((0 <= ts) & (ts <= self.total_time * (1 + 1e-12))):
             raise ValidationError(f"t must lie in [0, {self.total_time}], got {ts}")
         return ts
 
@@ -132,8 +131,8 @@ class ExpLocalSpec:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValidationError("dimension must be at least 2")
-        if self.amplitude <= 0 or self.decay_rate <= 0:
-            raise ValidationError("amplitude and decay_rate must be positive")
+        check_positive("amplitude", self.amplitude)
+        check_positive("decay_rate", self.decay_rate)
 
 
 def random_exp_local(spec: ExpLocalSpec) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Shared numerical kernels: time grids, norms, the product logarithm,
-time-grid quadrature and the worker pools' thread count; and the one
-writer of each artefact text format, the 17-digit CSV and the sorted,
-2-space-indented JSON."""
+time-grid quadrature and the worker pools' thread count; the one check of
+a positive, finite parameter; and the one writer of each artefact text
+format, the 17-digit CSV and the sorted, 2-space-indented JSON."""
 
 from __future__ import annotations
 
@@ -14,11 +14,18 @@ import numpy as np
 from .errors import ValidationError
 
 
+def check_positive(name: str, value) -> None:
+    """Refuse a value outside 0 < value < inf, naming it; NaN fails the
+    comparison too."""
+    if not 0.0 < value < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing time points starting at 0 (hbar = 1 units), kept
-    as a read-only copy, so that later writes to the caller's array cannot
-    reach the grid."""
+    """Strictly increasing, finite time points starting at 0 (hbar = 1
+    units), kept as a read-only copy, so that later writes to the caller's
+    array cannot reach the grid."""
 
     points: np.ndarray
 
@@ -29,14 +36,14 @@ class TimeGrid:
             raise ValidationError("a time grid needs at least 2 points")
         if pts[0] != 0.0:
             raise ValidationError(f"time grid must start at 0, got {pts[0]}")
+        check_positive("t_final", pts[-1])
         if not np.all(np.diff(pts) > 0):
             raise ValidationError("time grid must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def uniform(cls, t_final: float, n_points: int) -> "TimeGrid":
-        if not 0.0 < t_final < np.inf:
-            raise ValidationError(f"t_final must be positive and finite, got {t_final}")
+        check_positive("t_final", t_final)
         return cls(np.linspace(0.0, float(t_final), int(n_points)))
 
     @property
@@ -84,24 +91,26 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
 
 
 def lambert_w(x: float) -> float:
-    """Principal branch of the product logarithm on x >= 0.
+    """Principal branch of the product logarithm on 0 <= x < inf.
 
     Returns w >= 0 with w * e^w = x, by Newton iteration started at
-    ln(1 + x); converges to |w e^w - x| <= 1e-12 * max(1, x).
+    ln(1 + x); converges to |w e^w - x| <= 1e-12 * max(1, x).  Above about
+    1e305 the iteration overflows and is refused as non-convergent.
     """
     x = float(x)
-    if x < 0:
-        raise ValidationError(f"lambert_w requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
+    if not 0.0 <= x < np.inf:
+        raise ValidationError(f"lambert_w requires 0 <= x < inf, got {x}")
     tol = 1e-12 * max(1.0, x)
     w = np.log1p(x)
-    for _ in range(100):
-        ew = np.exp(w)
-        f = w * ew - x
-        if abs(f) <= tol:
-            return float(w)
-        w -= f / (ew * (1.0 + w))
+    # near the float maximum w e^w overflows, and the iterate turns NaN
+    # without a numpy warning; that is reported as non-convergence below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            ew = np.exp(w)
+            f = w * ew - x
+            if abs(f) <= tol:
+                return float(w)
+            w -= f / (ew * (1.0 + w))
     raise ValidationError(f"lambert_w failed to converge for x = {x}")
 
 

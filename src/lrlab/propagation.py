@@ -98,11 +98,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import HERMITICITY_TOL, Block, block_distance
+from .blocks import Block, block_distance, refuse_non_hermitian
 from .errors import IntegrationError, ValidationError
 from .locality import LocalityCertificate
 from .models import ConstantHamiltonian
-from .numerics import TimeGrid, check_aligned, csv_text, operator_norms
+from .numerics import TimeGrid, check_aligned, check_positive, csv_text, operator_norms
 
 # matrix entries in one (n, d, d) stack of a batch: 128 KiB when complex
 _BATCH_ENTRIES = 8192
@@ -300,11 +300,7 @@ def _magnus_generators(H, bounds: np.ndarray, hs: np.ndarray) -> np.ndarray:
     gens = np.empty((2, n, d, d), dtype=complex)
     M4, M6 = gens
     with np.errstate(invalid="ignore"):  # Inf * 0 is NaN, refused by the kernel
-        skew = np.abs(Hm - Hm.conj().swapaxes(-1, -2)).max()
-        if skew > HERMITICITY_TOL * max(1.0, np.abs(Hm).max()):
-            raise ValidationError(
-                f"H(t) is not Hermitian: max |H - H^dag| = {skew:.3e}"
-            )
+        refuse_non_hermitian(Hm, "H(t)")
         M4[...] = _commutator(Hs, He) * (1j / 12.0 * h)
         M4 += (Hs + 4.0 * Hm + He) / 6.0
         # for Hlo == Hm == Hhi, b2 and b3, and so every commutator, are 0
@@ -441,8 +437,7 @@ def evolve_on_grid(H, grid: TimeGrid, tol: float = 1e-9) -> Propagator:
     stop out of the pre-asymptotic regime, where the defects of a stiff H
     are O(1) and rise and fall before they converge.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    check_positive("tolerance", tol)
     if isinstance(H, ConstantHamiltonian):
         w, V = np.linalg.eigh(H.matrix)
         phases = np.exp(-1j * np.outer(grid.points, w))
@@ -585,8 +580,9 @@ def bound_audit(
     alongside the margin ones, since the bound is proved only under that
     hypothesis.
     """
-    if supp_a.intersects(supp_b):
-        raise ValidationError("audit supports must be disjoint")
+    # the projectors on the supports have norm 1; an overlapping pair is
+    # refused here, before any audit work
+    rhs = lr_bound_rhs(supp_a, supp_b, certificate.mu, certificate.growth)
     d = H.dimension
     if supp_a.labels[-1] >= d or supp_b.labels[-1] >= d:
         raise ValidationError("support labels exceed the Hamiltonian dimension")
@@ -612,9 +608,6 @@ def bound_audit(
         X = cols[:, a, :] @ np.delete(cols, a, axis=1).conj().transpose(0, 2, 1)
         gram = X @ X.conj().transpose(0, 2, 1)
         lhs = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-
-    # the projectors on the supports have norm 1
-    rhs = lr_bound_rhs(supp_a, supp_b, certificate.mu, certificate.growth)
 
     return AuditReport(
         times=grid.points,

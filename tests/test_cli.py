@@ -382,6 +382,50 @@ def test_fig1_end_to_end(tmp_path, capsys):
     assert "T=3" in stdout and "T=6" in stdout
 
 
+def test_fig1_plots_only_positive_speeds_and_errors(tmp_path, capsys):
+    """Weak 0-1 and strong 0-2 couplings on diag(0, 1, 2): level 2 crosses
+    first, so both fitted speeds are negative.  The CSV and JSON files are
+    written, no log-log SVG is drawn from fewer than two positive records,
+    and the stale SVGs of an earlier sweep are removed."""
+    h_i = np.diag([0.0, 1.0, 2.0])
+    h_f = h_i.copy()
+    h_f[0, 1] = h_f[1, 0] = 0.02
+    h_f[0, 2] = h_f[2, 0] = 0.3
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    spec = {"h_i": _complex_entries(h_i), "h_f": _complex_entries(h_f)}
+    cfg.write_text(
+        json.dumps(
+            {
+                "hamiltonian": spec,
+                "T_values": [5.0, 10.0],
+                "grid_points": 401,
+                "output_dir": str(out),
+            }
+        )
+    )
+    out.mkdir()
+    svgs = [out / "fig1_dad_vs_vlr.svg", out / "fig1_vlr_vs_T.svg"]
+    for svg in svgs:
+        svg.write_text("stale")
+    assert main(["fig1", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out / "fig1.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (2, 6) and np.all(rows[:, 1] < 0)
+    assert (out / "fig1_run_T5.json").exists()
+    assert (out / "fig1_run_T10.json").exists()
+    assert not any(svg.exists() for svg in svgs)
+
+
+def test_an_output_that_cannot_be_written_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["locality", "--mu", "0.5", "--out", str(blocker / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.fixture()
 def crossing_cfg_file(tmp_path):
     """diag(0, 1) -> diag(1, 0) over T = 1: the two levels cross at t = 0.5."""

@@ -454,8 +454,11 @@ def test_exp_local_bound_divergent_regime():
     [
         (lambda: exp_local_bound(0.0, 1.0, 0.5), "h must be positive"),
         (lambda: exp_local_bound(1.0, 1.0, -0.5), "mu must be nonnegative"),
-        (lambda: optimal_mu_exp_local(-1.0, 1.0), "h and mu_prime must be positive"),
-        (lambda: optimal_mu_exp_local(1.0, 0.0), "h and mu_prime must be positive"),
+        (lambda: optimal_mu_exp_local(-1.0, 1.0), "h must be positive and finite"),
+        (
+            lambda: optimal_mu_exp_local(1.0, 0.0),
+            "mu_prime must be positive and finite",
+        ),
     ],
     ids=["h=0", "mu<0", "optimal h<0", "optimal mu'=0"],
 )

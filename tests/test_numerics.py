@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,9 +246,18 @@ def test_lambert_against_bisection():
 def test_lambert_domain_error():
     with pytest.raises(ValidationError):
         lambert_w(-0.5)
-    # NaN passes the domain check, and no Newton step can settle on it
-    with pytest.raises(ValidationError, match="failed to converge for x = nan"):
+    # NaN and inf are refused by the domain check, before any Newton step
+    with pytest.raises(ValidationError, match="requires 0 <= x < inf, got nan"):
         lambert_w(np.nan)
+
+
+def test_lambert_reports_an_iteration_that_overflows():
+    """Near the float maximum w e^w overflows from the first iterate: that
+    is refused as non-convergence, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="converge for x = 1e\\+308"):
+            lambert_w(1e308)
 
 
 @given(st.floats(min_value=0.0, max_value=50.0))
