@@ -245,6 +245,30 @@ ROWS = [
         "np.abs(H - H.swapaxes(-1, -2))",
         "the Hermitian test compares H with H^T, not H^dag",
     ),
+    (
+        "src/lrlab/numerics.py",
+        "return [future.result() for future in futures]",
+        "return [future.result() for future in futures[::-1]]",
+        "the pool's results, and its first error, come in reverse task order",
+    ),
+    (
+        "src/lrlab/numerics.py",
+        "pool.shutdown(cancel_futures=True)",
+        "pool.shutdown()",
+        "the tasks not yet started still run after an earlier task failed",
+    ),
+    (
+        ADIA,
+        "FRAME_TOL = 1e-6",
+        "FRAME_TOL = 1e-4",
+        "the frame guard passes the flow of a ramp 1e-5 away",
+    ),
+    (
+        "src/lrlab/numerics.py",
+        "w -= (w + np.log(w) - y) * w / (1.0 + w)",
+        "w -= (w + np.log(w) - y) / (1.0 + w)",
+        "the log-space Newton step drops its factor w, so large w crawl",
+    ),
 ]
 
 TIER1 = [

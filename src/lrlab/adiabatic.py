@@ -26,8 +26,9 @@ intertwining defect, since for projectors of equal rank
 ||P - Q|| = ||(1 - Q) P|| (Kato, Perturbation Theory for Linear Operators,
 I 4.6), and the crossing amplitudes of the empirical LR speed.  No d x d
 projector is formed, and ``_excited_ground`` reads the frames in place.
-On the grid the frames are the flow's; h_ad diagonalizes H itself at
-times off the grid.
+On the grid the frames are the flow's, refused unless they diagonalize
+H there (``_check_frames``); h_ad diagonalizes H itself at times off the
+grid.
 
 The eigenframes are eigh's as they come: each column is fixed only up to a
 phase, and the columns of a level (the ground level, or an excited one)
@@ -39,18 +40,21 @@ and Frobenius norms of its rows grouped by level.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapClosureError, LevelCrossingError
+from .errors import GapClosureError, LevelCrossingError, ValidationError
 from .locality import LocalityCertificate
 from .models import TimeDependentHamiltonian
-from .numerics import TimeGrid, _worker_count, check_aligned, operator_norms
+from .numerics import TimeGrid, check_aligned, operator_norms, run_tasks
 from .propagation import Propagator, _times, evolve_on_grid
 
 CLUSTER_TOL = 1e-8
+# relative residual max |H V - V diag(w)| / max(1, max |H|) above which a
+# flow's frames are not H's: far above eigh's rounding, and above a rotation
+# inside a level a hundred CLUSTER_TOL spacings wide
+FRAME_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -111,6 +115,17 @@ def spectral_flow(H: TimeDependentHamiltonian, grid: TimeGrid) -> SpectralFlow:
     )
 
 
+def _check_frames(mats: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Refuse eigen-data (vals, vecs) that do not diagonalize the matrices
+    mats they are read against, such as a flow of another H: a residual
+    max |H V - V diag(w)| above FRAME_TOL max(1, max |H|)."""
+    resid = np.abs(mats @ vecs - vecs * vals[:, None, :]).max(initial=0.0)
+    if resid > FRAME_TOL * max(1.0, np.abs(mats).max(initial=0.0)):
+        raise ValidationError(
+            f"the flow's frames are not H's eigenvectors: residual {resid:.3e}"
+        )
+
+
 def _excited_ground(V: np.ndarray, W: np.ndarray, VG: np.ndarray) -> np.ndarray:
     """The block V_E^dag W V_G, batched over leading axes: V_G the given
     ground columns, V_E the columns of the frames V past the first |G|.
@@ -144,11 +159,11 @@ def h_ad(
 ) -> np.ndarray:
     """Adiabatic generator H(t) + i [Gdot(t), G(t)] at each of the times ts,
     shape (len(ts), dim, dim).  The times need not lie on the flow's grid:
-    H is diagonalized at each time off it, and the flow's eigen-data, of
-    that same H, are gathered for the times on it alone (an integrator
-    batch asks for three off-grid times to each one on it).  The ground
-    level must keep the flow's dimension at every time, so every gap
-    E_k - E_g exceeds CLUSTER_TOL.
+    H is diagonalized at each time off it, and the flow's eigen-data are
+    gathered for the times on it alone (an integrator batch asks for three
+    off-grid times to each one on it) and refused unless they diagonalize
+    H there (``_check_frames``).  The ground level must keep the flow's
+    dimension at every time, so every gap E_k - E_g exceeds CLUSTER_TOL.
 
     In the eigenframe i [Gdot, G] has only the excited-ground block i R and
     its adjoint, so it is i (X - X^dag) with X = V_E R V_G^dag.  That is
@@ -165,6 +180,7 @@ def h_ad(
     vals = np.empty((len(ts), H.dimension))
     vecs = np.empty((len(ts), H.dimension, H.dimension), flow.basis.dtype)
     vals[on], vecs[on] = flow.eigenvalues[k[on]], flow.basis[k[on]]
+    _check_frames(mats[on], vals[on], vecs[on])
     if not on.all():
         vals[~on], vecs[~on] = np.linalg.eigh(mats[~on])
     _ground_gap(vals, ts, gdim)
@@ -259,28 +275,20 @@ def run_adiabatic(
     wave-operator errors delta(t) are not computed: pass the run's U, U_ad
     and flow to ``wave_operator_errors`` for them.
 
-    U needs no flow, so with two or more workers (``LRLAB_THREADS``, else
-    the CPU count) it runs on a second thread while this one computes the
-    flow and then U_ad; with one, all three run here in that order.  Errors
-    come in the serial order either way: the flow's, then U's, then U_ad's.
+    U needs no flow, so it is one task of ``run_tasks`` and the flow, then
+    U_ad, the other: with two or more workers (``LRLAB_THREADS``, else the
+    CPU count) they run side by side, and with one, in that order.  Errors
+    come in that order either way: U's, then the flow's, then U_ad's.
 
     Warns when the measured intertwining defect exceeds 10x the integration
     tolerance, which signals insufficient grid resolution.
     """
-    if _worker_count(2) == 1:
+
+    def flow_and_u_ad():
         flow = spectral_flow(H, grid)
-        U = evolve_on_grid(H, grid, tol)
-        U_ad = evolve_adiabatic(H, flow, tol)
-    else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(evolve_on_grid, H, grid, tol)
-            flow = spectral_flow(H, grid)
-            try:
-                U_ad = evolve_adiabatic(H, flow, tol)
-            except Exception:
-                future.result()  # U's error comes before U_ad's
-                raise
-            U = future.result()
+        return flow, evolve_adiabatic(H, flow, tol)
+
+    U, (flow, U_ad) = run_tasks([lambda: evolve_on_grid(H, grid, tol), flow_and_u_ad])
     delta_ad = adiabatic_error(U, flow)
     defect = intertwining_defect(U_ad, flow)
     if defect > 10.0 * tol:
@@ -330,7 +338,7 @@ def condition_report(
     certificate: LocalityCertificate,
 ) -> ConditionReport:
     """Evaluate the adiabatic-condition ratios on the flow's grid, from the
-    flow's eigenframes.
+    flow's eigenframes, which must diagonalize H there (``_check_frames``).
 
     In the eigenbasis of H(t), H - H_ad = -i [Gdot, G] has only the
     excited-ground blocks -i R and their adjoint (see ``_gdot_eigframe``).
@@ -349,6 +357,7 @@ def condition_report(
     pts = flow.grid.points
     gdim = flow.ground_dim
     mu = certificate.mu
+    _check_frames(H.evaluate_batch(pts), flow.eigenvalues, flow.basis)
     R = _gdot_eigframe(H, pts, flow.eigenvalues, flow.basis, gdim)
     hdiff = operator_norms(R)
     # a level K's block norm goes to its highest column, where max K is:

@@ -39,13 +39,9 @@ class Block:
     def size(self) -> int:
         return len(self.labels)
 
-    def intersects(self, other: "Block") -> bool:
-        return bool(set(self.labels) & set(other.labels))
-
 
 def block_distance(a: Block, b: Block) -> int:
-    """Minimum |j - i| over i in a, j in b; 0 iff the blocks share a label
-    or touch at equal labels."""
+    """Minimum |j - i| over i in a, j in b; 0 iff the blocks share a label."""
     # compares all pairs, which is cheap for the small blocks used here
     return min(abs(j - i) for i in a.labels for j in b.labels)
 

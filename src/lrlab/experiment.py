@@ -17,11 +17,11 @@ sweep has one outcome: its record, or the error that stopped it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from .models import (
     TimeDependentHamiltonian,
     build_example_ramp,
 )
-from .numerics import TimeGrid, _worker_count, check_aligned, csv_text, json_text
+from .numerics import TimeGrid, check_aligned, csv_text, json_text, run_tasks
 from .propagation import Propagator, evolve_on_grid
 
 DEFAULT_THRESHOLD = 6e-4
@@ -304,14 +304,11 @@ def run_fig1(
     fig1_run_T*.json files, its SVGs when this sweep draws none) are
     removed, so that the directory describes one sweep; no other file is
     touched.  Returns (records sorted by T, per-T error strings, written
-    paths).  A Hamiltonian spec that cannot be built is refused before the
-    output directory is made: whether it builds does not depend on T.
+    paths).  A Hamiltonian spec that cannot be built is refused before any
+    work, and the output directory is made only after the sweep, so a
+    refusal, of the spec or of LRLAB_THREADS, leaves none behind.
     """
-    # a refused LRLAB_THREADS leaves no output directory behind
-    workers = _worker_count(len(config.T_values))
     Hs = {T: config.build_hamiltonian(T) for T in config.T_values}
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def task(T: float) -> Fig1Record | str:
         try:
@@ -319,8 +316,10 @@ def run_fig1(
         except LrlabError as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = dict(zip(config.T_values, pool.map(task, config.T_values)))
+    runs = run_tasks([functools.partial(task, T) for T in config.T_values])
+    outcomes = dict(zip(config.T_values, runs))
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = {T: o for T, o in outcomes.items() if isinstance(o, str)}
     records = [outcomes[T] for T in sorted(outcomes) if T not in failures]
     paths: list[Path] = []

@@ -28,7 +28,7 @@ import numpy as np
 from .blocks import STRUCTURAL_ZERO, _check_hermitian
 from .errors import NumericalError, ValidationError
 from .models import ConstantHamiltonian, TimeDependentHamiltonian
-from .numerics import TimeGrid, check_positive, lambert_w, running_trapezoid
+from .numerics import TimeGrid, _product_log_of_exp, check_positive, running_trapezoid
 
 # relative slack when comparing a locality load against a certificate's a_mu;
 # guards the exact equality case (a certificate audited against its own H)
@@ -233,11 +233,12 @@ def optimal_mu_exp_local(h: float, mu_prime: float) -> tuple[float, float]:
     """Optimal rate and minimal LR speed for the exponential envelope.
 
     The minimum of 4h / [mu (1 - e^(mu - mu'))] over mu sits at
-    mu = w(e^(1 + mu')) - 1 with w the product logarithm.
+    mu = w(e^(1 + mu')) - 1 with w the product logarithm, the root of
+    w + ln w = 1 + mu', which is solved in log space for every finite mu'.
     """
-    # named here, before lambert_w sees e^(1 + mu'); exp_local_bound checks h
+    # named here, before the product logarithm; exp_local_bound checks h
     check_positive("mu_prime", mu_prime)
-    mu_min = lambert_w(np.exp(1.0 + mu_prime)) - 1.0
+    mu_min = _product_log_of_exp(1.0 + mu_prime) - 1.0
     v_min = exp_local_bound(h, mu_prime, mu_min) / mu_min
     return float(mu_min), float(v_min)
 

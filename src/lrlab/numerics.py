@@ -1,12 +1,14 @@
-"""Shared numerical kernels: time grids, norms, the product logarithm,
-time-grid quadrature and the worker pools' thread count; the one check of
-a positive, finite parameter; and the one writer of each artefact text
-format, the 17-digit CSV and the sorted, 2-space-indented JSON."""
+"""Shared numerical kernels: time grids, norms, the product logarithm and
+time-grid quadrature; the one thread pool, ``run_tasks``, and its thread
+count; the one check of a positive, finite parameter; and the one writer
+of each artefact text format, the 17-digit CSV and the sorted,
+2-space-indented JSON."""
 
 from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,20 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap))
 
 
+def run_tasks(tasks) -> list:
+    """Call each of the zero-argument tasks on a pool of
+    ``_worker_count(len(tasks))`` threads, the only one lrlab makes, and
+    return their results in task order.  The first task, in that order,
+    that raised re-raises once the running tasks have finished; the tasks
+    not yet started are cancelled."""
+    pool = ThreadPoolExecutor(max_workers=_worker_count(len(tasks)))
+    try:
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (n, rows, cols) stack.  A
     stack that broadcasts one matrix along axis 0 (stride 0), such as a
@@ -90,28 +106,28 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
-def lambert_w(x: float) -> float:
-    """Principal branch of the product logarithm on 0 <= x < inf.
+def _product_log_of_exp(y: float) -> float:
+    """The w > 0 with w + ln w = y, that is W(e^y) for the product
+    logarithm W, for any finite y >= ln(5e-324), solved in log space so
+    that e^y is never formed.  Newton's steps w <- w (1 + y - ln w) / (1 + w)
+    start from ln(1 + e^y), above the root, and stay positive; w + ln w is
+    concave, so the first lands below the root and the rest climb to it.
+    Five reach rounding everywhere (checked against mpmath); six are taken."""
+    w = np.logaddexp(0.0, y)
+    for _ in range(6):
+        w -= (w + np.log(w) - y) * w / (1.0 + w)
+    return float(w)
 
-    Returns w >= 0 with w * e^w = x, by Newton iteration started at
-    ln(1 + x); converges to |w e^w - x| <= 1e-12 * max(1, x).  Above about
-    1e305 the iteration overflows and is refused as non-convergent.
-    """
+
+def lambert_w(x: float) -> float:
+    """Principal branch of the product logarithm on 0 <= x < inf: the
+    w >= 0 with w e^w = x, from ``_product_log_of_exp(ln x)``, so up to the
+    float maximum.  The rounding of ln x bounds its relative accuracy at
+    about max(1, |ln x|) 2^-52."""
     x = float(x)
     if not 0.0 <= x < np.inf:
         raise ValidationError(f"lambert_w requires 0 <= x < inf, got {x}")
-    tol = 1e-12 * max(1.0, x)
-    w = np.log1p(x)
-    # near the float maximum w e^w overflows, and the iterate turns NaN
-    # without a numpy warning; that is reported as non-convergence below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(100):
-            ew = np.exp(w)
-            f = w * ew - x
-            if abs(f) <= tol:
-                return float(w)
-            w -= f / (ew * (1.0 + w))
-    raise ValidationError(f"lambert_w failed to converge for x = {x}")
+    return _product_log_of_exp(np.log(x)) if x > 0.0 else 0.0
 
 
 def running_trapezoid(samples, grid: TimeGrid) -> np.ndarray:

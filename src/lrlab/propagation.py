@@ -484,9 +484,9 @@ def lr_bound_rhs(
     nor e^growth overflowing meets the other as 0 * inf: it is inf, with no
     numpy warning, only where the bound itself leaves the float range.
     """
-    if supp_a.intersects(supp_b):
-        raise ValidationError("supports must be disjoint")
     d = block_distance(supp_a, supp_b)
+    if d == 0:
+        raise ValidationError("supports must be disjoint")
     prefactor = 2.0 * min(supp_a.size, supp_b.size)
     with np.errstate(over="ignore"):
         rhs = np.exp(growth - mu * d)

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -427,9 +428,9 @@ def test_run_warns_on_a_large_intertwining_defect(monkeypatch):
 
 
 def test_run_is_bit_identical_on_one_thread_and_on_two(monkeypatch):
-    """With two workers U runs on a second thread beside the flow and U_ad;
-    with LRLAB_THREADS=1 all three run on the calling thread.  Every number
-    of the run is the same bit for bit either way."""
+    """With two workers U runs on one pool thread and the flow and U_ad on
+    another; with LRLAB_THREADS=1 all three run on the pool's one thread.
+    Every number of the run is the same bit for bit either way."""
     H = build_example_ramp(12.5)
     grid = TimeGrid.uniform(12.5, 201)
     threads_of = {}  # is it U (not U_ad)? -> the thread that evolved it
@@ -455,11 +456,10 @@ def test_run_is_bit_identical_on_one_thread_and_on_two(monkeypatch):
             delta,
             np.array([run.intertwining_defect, run.delta_ad_final, delta_ad]),
         ]
-        here = threading.get_ident()
         if threads == "1":
-            assert threads_of == {True: here, False: here}
+            assert threads_of[True] == threads_of[False]
         elif threads == "2":
-            assert threads_of[True] != here == threads_of[False]
+            assert threads_of[True] != threads_of[False]
     for threads in ("2", None):
         for serial, pooled in zip(results["1"], results[threads]):
             assert np.array_equal(serial, pooled)
@@ -468,7 +468,7 @@ def test_run_is_bit_identical_on_one_thread_and_on_two(monkeypatch):
 def test_run_raises_u_error_before_u_ad_error(monkeypatch):
     """Below the rounding floor both U and U_ad fail to converge, with
     different defects; run_adiabatic raises U's error, as the serial order
-    does, whether U runs on the calling thread or on a second one."""
+    does, on one worker thread or on two."""
     h_f = [[0.0, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.5, 1.0]]
     H = LinearInterpolationHamiltonian(np.diag([0.0, 0.5, 1.0]), h_f, 1.0)
     grid = TimeGrid.uniform(1.0, 3)
@@ -485,9 +485,27 @@ def test_run_raises_u_error_before_u_ad_error(monkeypatch):
         assert run.value.defect == alone.value.defect
 
 
+def test_run_raises_u_error_before_the_flow_error(monkeypatch):
+    """U's task comes first, so its error comes before the flow's, on one
+    thread or on two."""
+
+    def no_flow(H, grid):
+        raise GapClosureError("the flow failed")
+
+    def no_u(*args):
+        raise IntegrationError("U did not converge", defect=0.5)
+
+    monkeypatch.setattr(adiabatic, "spectral_flow", no_flow)
+    monkeypatch.setattr(adiabatic, "evolve_on_grid", no_u)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LRLAB_THREADS", threads)
+        with pytest.raises(IntegrationError, match="U did not converge"):
+            run_adiabatic(build_example_ramp(1.0), TimeGrid.uniform(1.0, 11))
+
+
 def test_run_raises_u_ad_error_when_it_fails_alone(monkeypatch):
     """With U converged and U_ad failed, run_adiabatic raises U_ad's error,
-    whether U runs on the calling thread or on a second one."""
+    on one worker thread or on two."""
     H = build_example_ramp(1.0)
 
     def failing(*args):
@@ -661,6 +679,40 @@ def test_instantaneous_locality_scales_as_one_over_T():
         report = condition_report(H, flow, certify(H, mu, grid))
         vals[T] = report.energy_locality[100]  # t = T / 2
     assert vals[30.0] / vals[60.0] == pytest.approx(2.0, rel=0.05)
+
+
+# -- frames of another H -----------------------------------------------------
+
+
+def hopping_ramp(T, hopping):
+    """The bundled ladder ramp with another nearest-neighbour hopping."""
+    h_i = 0.1 * np.diag(np.arange(11.0))
+    return LinearInterpolationHamiltonian(
+        h_i, h_i + hopping * (np.eye(11, k=1) + np.eye(11, k=-1)), T
+    )
+
+
+@pytest.mark.parametrize("hopping", [0.3, 0.5 + 1e-5])
+def test_a_flow_of_another_h_is_refused(hopping):
+    """The flow of the bundled ramp (hopping 0.5) does not diagonalize a
+    ramp of another hopping: h_ad at a grid time, U_ad and the condition
+    report refuse it, U_ad within a second, where it would otherwise refine
+    for hours.  Off the grid h_ad diagonalizes H itself."""
+    assert np.array_equal(
+        hopping_ramp(12.5, 0.5).evaluate(3.0), build_example_ramp(12.5).evaluate(3.0)
+    )
+    grid = TimeGrid.uniform(12.5, 21)
+    flow = spectral_flow(build_example_ramp(12.5), grid)
+    H = hopping_ramp(12.5, hopping)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="are not H.s eigenvectors"):
+        evolve_adiabatic(H, flow, 1e-8)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValidationError, match="are not H.s eigenvectors"):
+        condition_report(H, flow, certify(H, 0.5, grid))
+    with pytest.raises(ValidationError, match="are not H.s eigenvectors"):
+        h_ad(H, flow, grid.points[-1:])
+    assert np.array_equal(h_ad(H, flow, [0.3]), h_ad(H, spectral_flow(H, grid), [0.3]))
 
 
 # -- gauge invariance ------------------------------------------------------------------

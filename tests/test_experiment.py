@@ -16,7 +16,6 @@ from lrlab.experiment import (
     ExperimentConfig,
     _first_crossings,
     _pairwise_speeds,
-    _worker_count,
     empirical_v_lr,
     parse_complex_matrix,
     read_config,
@@ -27,7 +26,7 @@ from lrlab.models import (
     LinearInterpolationHamiltonian,
     build_example_ramp,
 )
-from lrlab.numerics import TimeGrid
+from lrlab.numerics import TimeGrid, _worker_count
 from lrlab.propagation import evolve_on_grid
 
 from _oracles import crossing_amplitudes, crossings_by_level

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -483,6 +484,20 @@ def test_optimal_mu_closed_form():
     k = int(vals.argmin())
     assert abs(mu_min - mus[k]) <= 1e-4
     assert v_min <= vals[k] + 1e-8
+
+
+@pytest.mark.parametrize("mu_prime", [1.0, 700.0, 708.0, 1000.0, 1e6])
+def test_optimal_mu_matches_mpmath_for_any_finite_rate(mu_prime):
+    """mu_min = W(e^(1 + mu')) - 1 is solved in log space, so rates past
+    mu' ~ 707, where e^(1 + mu') overflows, are served, with no numpy
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu_min, v_min = optimal_mu_exp_local(1.0, mu_prime)
+    w = mpmath.lambertw(mpmath.exp(1 + mpmath.mpf(mu_prime)))
+    assert mu_min == pytest.approx(float(w - 1), rel=1e-14)
+    v_ref = 4 / (-mpmath.expm1(w - 1 - mu_prime)) / (w - 1)
+    assert v_min == pytest.approx(float(v_ref), rel=1e-12)
 
 
 def test_optimal_mu_linear_in_amplitude():

@@ -1,5 +1,7 @@
+import threading
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from lrlab.adiabatic import spectral_flow
 from lrlab.errors import ValidationError
 from lrlab.models import ConstantHamiltonian, build_example_ramp
-from lrlab.numerics import TimeGrid, lambert_w, operator_norms, running_trapezoid
+from lrlab.numerics import (
+    TimeGrid,
+    lambert_w,
+    operator_norms,
+    run_tasks,
+    running_trapezoid,
+)
 from lrlab.propagation import _unitary_steps
 
 from _oracles import (
@@ -251,13 +259,15 @@ def test_lambert_domain_error():
         lambert_w(np.nan)
 
 
-def test_lambert_reports_an_iteration_that_overflows():
-    """Near the float maximum w e^w overflows from the first iterate: that
-    is refused as non-convergence, with no numpy warning."""
+def test_lambert_converges_near_the_float_maximum():
+    """In log space w e^w is never formed, so x near the float maximum,
+    where it would overflow, converges to mpmath's value, with no numpy
+    warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValidationError, match="converge for x = 1e\\+308"):
-            lambert_w(1e308)
+        for x in (1e300, 1e308, np.finfo(float).max):
+            ref = float(mpmath.lambertw(x))
+            assert lambert_w(x) == pytest.approx(ref, rel=1e-15)
 
 
 @given(st.floats(min_value=0.0, max_value=50.0))
@@ -318,3 +328,71 @@ def test_running_trapezoid_gives_the_integral_at_every_point():
         running_trapezoid(np.ones((4, 2)), g)
     with pytest.raises(ValidationError):
         running_trapezoid(2.0, g)
+
+
+# -- run_tasks ---------------------------------------------------------------
+
+
+def test_run_tasks_returns_results_in_task_order(monkeypatch):
+    """With two workers the second task finishes first, and the results
+    still come in task order."""
+    monkeypatch.setenv("LRLAB_THREADS", "2")
+    second_done = threading.Event()
+
+    def first():
+        assert second_done.wait(timeout=10)
+        return "first"
+
+    def second():
+        second_done.set()
+        return "second"
+
+    assert run_tasks([first, second]) == ["first", "second"]
+
+
+def test_run_tasks_raises_the_first_failure_in_task_order(monkeypatch):
+    """With two workers the second task fails first; its error is raised
+    only after the first task's result, and the first task's own error,
+    when it has one, comes instead."""
+    monkeypatch.setenv("LRLAB_THREADS", "2")
+    for first_fails in (False, True):
+        second_failed = threading.Event()
+        finished = []
+
+        def first():
+            assert second_failed.wait(timeout=10)
+            finished.append("first")
+            if first_fails:
+                raise ValueError("first")
+            return "first"
+
+        def second():
+            second_failed.set()
+            raise ValueError("second")
+
+        expected = "first" if first_fails else "second"
+        with pytest.raises(ValueError, match=expected):
+            run_tasks([first, second])
+        assert finished == ["first"]
+
+
+def test_run_tasks_cancels_the_tasks_not_started(monkeypatch):
+    """With one worker the tasks run in order on one pool thread, and a
+    failing first task means the second never starts."""
+    monkeypatch.setenv("LRLAB_THREADS", "1")
+    threads = []
+
+    def task(value):
+        threads.append(threading.get_ident())
+        return value
+
+    assert run_tasks([lambda: task(1), lambda: task(2)]) == [1, 2]
+    assert len(set(threads)) == 1 and threading.get_ident() not in threads
+    started = []
+
+    def failing():
+        raise ValueError("first task failed")
+
+    with pytest.raises(ValueError, match="first task failed"):
+        run_tasks([failing, lambda: started.append(2)])
+    assert started == []

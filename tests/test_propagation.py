@@ -801,6 +801,14 @@ def test_lr_bound_rhs_overlap_rejected():
         lr_bound_rhs(Block([0, 1]), Block([1, 2]), 0.5, 1.0 * 1.0)
 
 
+def test_lr_bound_rhs_takes_interleaved_supports():
+    """Supports that share no label are disjoint even when they interleave:
+    {0, 2} and {1, 3} lie at distance 1."""
+    rhs = lr_bound_rhs(Block([0, 2]), Block([1, 3]), 0.5, 1.5)
+    assert rhs == lr_bound_rhs(Block([0, 1]), Block([2, 3]), 0.5, 1.5)
+    assert rhs == pytest.approx(4.0 * np.exp(-0.5) * np.expm1(1.5), rel=1e-15)
+
+
 def test_spread_identity_at_t0(ramp_prop):
     _, prop = ramp_prop
     amps = propagator_spread(prop, 4)
